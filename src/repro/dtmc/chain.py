@@ -226,37 +226,20 @@ class DTMC:
         exactly (the sink only absorbs probability that has left the
         retained region).
         """
-        keep = list(keep)
-        index_of = {old: new for new, old in enumerate(keep)}
-        n_new = len(keep) + 1
-        sink = n_new - 1
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for new_i, old_i in enumerate(keep):
-            row = self.transition_matrix.getrow(old_i)
-            sink_mass = 0.0
-            for old_j, p in zip(row.indices.tolist(), row.data.tolist()):
-                if old_j in index_of:
-                    rows.append(new_i)
-                    cols.append(index_of[old_j])
-                    vals.append(p)
-                else:
-                    sink_mass += p
-            if sink_mass > 0.0:
-                rows.append(new_i)
-                cols.append(sink)
-                vals.append(sink_mass)
-        rows.append(sink)
-        cols.append(sink)
-        vals.append(1.0)
-        matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(n_new, n_new))
-        init = np.zeros(n_new)
-        kept_mass = 0.0
-        for new_i, old_i in enumerate(keep):
-            init[new_i] = self.initial_distribution[old_i]
-            kept_mass += init[new_i]
-        init[sink] = 1.0 - kept_mass
+        keep = np.asarray(keep, dtype=np.intp)
+        rows = self.transition_matrix[keep]
+        dropped = np.ones(self.num_states)
+        dropped[keep] = 0.0
+        sink_mass = rows @ dropped
+        matrix = sparse.bmat(
+            [
+                [rows[:, keep], sparse.csr_matrix(sink_mass[:, None])],
+                [None, sparse.identity(1)],
+            ],
+            format="csr",
+        )
+        init = np.append(self.initial_distribution[keep], 0.0)
+        init[-1] = 1.0 - init.sum()
         labels = {
             name: np.append(vec[keep], False) for name, vec in self.labels.items()
         }
@@ -265,28 +248,8 @@ class DTMC:
         }
         states = None
         if self.states is not None:
-            states = [self.states[i] for i in keep] + ["<sink>"]
+            states = list(map(self.states.__getitem__, keep.tolist())) + ["<sink>"]
         return DTMC(matrix, init, labels=labels, rewards=rewards, states=states)
-
-    def with_absorbing(self, absorbing: Iterable[int]) -> "DTMC":
-        """Copy of the chain where the given states are made absorbing.
-
-        Used by bounded-reachability model checking: once a target state
-        is entered, the future does not matter, so its row is replaced
-        by a self-loop.
-        """
-        absorbing = set(absorbing)
-        lil = self.transition_matrix.tolil(copy=True)
-        for i in absorbing:
-            lil.rows[i] = [i]
-            lil.data[i] = [1.0]
-        return DTMC(
-            lil.tocsr(),
-            self.initial_distribution.copy(),
-            labels={k: v.copy() for k, v in self.labels.items()},
-            rewards={k: v.copy() for k, v in self.rewards.items()},
-            states=self.states,
-        )
 
     # ------------------------------------------------------------------
     # Misc

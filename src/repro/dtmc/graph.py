@@ -11,17 +11,19 @@ Provides the structural facts the paper's methodology relies on:
   guaranteed to reach a steady state") is implemented as an explicit
   check here.
 
-The SCC computation is an iterative Tarjan so it does not hit Python's
-recursion limit on million-state chains.
+The transition graph is the sparsity structure of the transition
+matrix (every stored entry is an edge).  SCCs come from
+``scipy.sparse.csgraph``; BSCCs, reachability and periods are
+vectorized over the sparse index arrays, one BFS level at a time.
 """
 
 from __future__ import annotations
 
-from math import gcd
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Set
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .chain import DTMC
 
@@ -38,8 +40,32 @@ __all__ = [
 ]
 
 
-def _indptr_indices(matrix: sparse.csr_matrix) -> Tuple[np.ndarray, np.ndarray]:
-    return matrix.indptr, matrix.indices
+def _bfs_levels(
+    matrix: sparse.csr_matrix, seeds: Sequence[int], through: np.ndarray | None = None
+) -> np.ndarray:
+    """Breadth-first search along the rows of ``matrix`` from ``seeds``.
+
+    Returns each state's BFS level (-1 where unreached): the seeds are
+    level 0, and a state joins only if ``through`` allows it (the seeds
+    themselves need not).  ``level >= 0`` is the reached set and
+    ``level.max()`` the number of levels that found new states.
+    """
+    level = np.full(matrix.shape[0], -1, dtype=np.int64)
+    frontier = np.unique(np.asarray(seeds, dtype=np.intp))
+    level[frontier] = 0
+    open_ = level < 0 if through is None else np.asarray(through, dtype=bool) & (level < 0)
+    depth = 0
+    while frontier.size:
+        successors = matrix[frontier].indices
+        frontier = np.unique(successors[open_[successors]])
+        depth += 1
+        level[frontier] = depth
+        open_[frontier] = False
+    return level
+
+
+def _reached(level: np.ndarray) -> Set[int]:
+    return set(np.flatnonzero(level >= 0).tolist())
 
 
 def reachable_states(chain: DTMC, sources: Sequence[int] | None = None) -> Set[int]:
@@ -47,21 +73,9 @@ def reachable_states(chain: DTMC, sources: Sequence[int] | None = None) -> Set[i
 
     ``sources`` defaults to the chain's initial states.
     """
-    indptr, indices = _indptr_indices(chain.transition_matrix)
     if sources is None:
         sources = chain.initial_states()
-    seen: Set[int] = set(int(s) for s in sources)
-    frontier = list(seen)
-    while frontier:
-        next_frontier: List[int] = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                v = int(v)
-                if v not in seen:
-                    seen.add(v)
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return seen
+    return _reached(_bfs_levels(chain.transition_matrix, sources))
 
 
 def reachability_iterations(chain: DTMC, sources: Sequence[int] | None = None) -> int:
@@ -72,43 +86,14 @@ def reachability_iterations(chain: DTMC, sources: Sequence[int] | None = None) -
     transient quantities computed at horizons well beyond RI are near
     their steady-state values.
     """
-    indptr, indices = _indptr_indices(chain.transition_matrix)
     if sources is None:
         sources = chain.initial_states()
-    seen: Set[int] = set(int(s) for s in sources)
-    frontier = list(seen)
-    iterations = 0
-    while frontier:
-        next_frontier: List[int] = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                v = int(v)
-                if v not in seen:
-                    seen.add(v)
-                    next_frontier.append(v)
-        if not next_frontier:
-            break
-        iterations += 1
-        frontier = next_frontier
-    return iterations
+    return int(_bfs_levels(chain.transition_matrix, sources).max(initial=0))
 
 
 def backward_reachable(chain: DTMC, targets: Sequence[int]) -> Set[int]:
     """States from which some state in ``targets`` is reachable."""
-    transpose = chain.transition_matrix.tocsc()
-    indptr, indices = transpose.indptr, transpose.indices
-    seen: Set[int] = set(int(t) for t in targets)
-    frontier = list(seen)
-    while frontier:
-        next_frontier: List[int] = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                v = int(v)
-                if v not in seen:
-                    seen.add(v)
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return seen
+    return _reached(_bfs_levels(chain.transition_matrix.T.tocsr(), targets))
 
 
 def constrained_backward_reachable(
@@ -120,102 +105,43 @@ def constrained_backward_reachable(
     This is the graph kernel of the Prob0/Prob1 precomputations of
     pCTL model checking (Baier & Katoen, Algorithm 46).
     """
-    transpose = chain.transition_matrix.tocsc()
-    indptr, indices = transpose.indptr, transpose.indices
-    seen: Set[int] = set(int(t) for t in targets)
-    frontier = list(seen)
-    while frontier:
-        next_frontier: List[int] = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                v = int(v)
-                if v not in seen and through[v]:
-                    seen.add(v)
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return seen
+    return _reached(_bfs_levels(chain.transition_matrix.T.tocsr(), targets, through))
 
 
 def strongly_connected_components(chain: DTMC) -> List[List[int]]:
-    """Tarjan's algorithm (iterative) over the transition graph.
+    """Strongly connected components of the transition graph.
 
-    Returns components in reverse topological order (Tarjan's natural
-    output order): every edge between distinct components points from a
-    later component in the list to an earlier one.
+    Returns components in reverse topological order: every edge between
+    distinct components points from a later component in the list to an
+    earlier one.  Members of each component are sorted.
     """
-    n = chain.num_states
-    indptr, indices = _indptr_indices(chain.transition_matrix)
+    count, labels = csgraph.connected_components(
+        chain.transition_matrix, directed=True, connection="strong"
+    )
+    members = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels, minlength=count))[:-1]
+    return [part.tolist() for part in np.split(members, bounds)] if count else []
 
-    index_counter = 0
-    stack: List[int] = []
-    on_stack = np.zeros(n, dtype=bool)
-    index = np.full(n, -1, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    components: List[List[int]] = []
 
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # Each work item is (node, next-edge-offset).
-        work: List[List[int]] = [[root, indptr[root]]]
-        while work:
-            node, edge_ptr = work[-1]
-            if index[node] == -1:
-                index[node] = index_counter
-                lowlink[node] = index_counter
-                index_counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            while edge_ptr < indptr[node + 1]:
-                succ = int(indices[edge_ptr])
-                edge_ptr += 1
-                if index[succ] == -1:
-                    work[-1][1] = edge_ptr
-                    work.append([succ, indptr[succ]])
-                    advanced = True
-                    break
-                if on_stack[succ]:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                component: List[int] = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == node:
-                        break
-                components.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components
+def _component_labels(components: List[List[int]], n: int) -> np.ndarray:
+    """Per-state index into ``components``."""
+    labels = np.empty(n, dtype=np.int64)
+    if components:
+        labels[np.concatenate(components)] = np.repeat(
+            np.arange(len(components)), [len(c) for c in components]
+        )
+    return labels
 
 
 def bottom_sccs(chain: DTMC) -> List[List[int]]:
     """SCCs with no outgoing edges (the chain's recurrent classes)."""
     components = strongly_connected_components(chain)
-    component_of = np.empty(chain.num_states, dtype=np.int64)
-    for comp_id, members in enumerate(components):
-        for state in members:
-            component_of[state] = comp_id
-    indptr, indices = _indptr_indices(chain.transition_matrix)
-    bottoms: List[List[int]] = []
-    for comp_id, members in enumerate(components):
-        is_bottom = True
-        for u in members:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if component_of[int(v)] != comp_id:
-                    is_bottom = False
-                    break
-            if not is_bottom:
-                break
-        if is_bottom:
-            bottoms.append(sorted(members))
-    return bottoms
+    labels = _component_labels(components, chain.num_states)
+    edges = chain.transition_matrix.tocoo()
+    source, target = labels[edges.row], labels[edges.col]
+    leaves = np.zeros(len(components), dtype=bool)
+    leaves[source[source != target]] = True
+    return [components[c] for c in np.flatnonzero(~leaves)]
 
 
 def is_irreducible(chain: DTMC) -> bool:
@@ -229,33 +155,17 @@ def period(chain: DTMC, state: int = 0) -> int:
 
     Computed with the standard BFS-level trick: within the SCC of
     ``state``, the gcd of ``level(u) + 1 - level(v)`` over all edges
-    ``u -> v`` inside the class equals the period.
+    ``u -> v`` inside the class equals the period (0 for a single
+    state without a self-loop).
     """
     components = strongly_connected_components(chain)
-    home = None
-    for members in components:
-        if state in members:
-            home = set(members)
-            break
-    assert home is not None
-    indptr, indices = _indptr_indices(chain.transition_matrix)
-    level = {state: 0}
-    frontier = [state]
-    g = 0
-    while frontier:
-        next_frontier: List[int] = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                v = int(v)
-                if v not in home:
-                    continue
-                if v in level:
-                    g = gcd(g, level[u] + 1 - level[v])
-                else:
-                    level[v] = level[u] + 1
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return abs(g) if g else 0
+    labels = _component_labels(components, chain.num_states)
+    home = labels == labels[state]
+    level = _bfs_levels(chain.transition_matrix, [state], home)
+    edges = chain.transition_matrix.tocoo()
+    inside = home[edges.row] & home[edges.col]
+    steps = level[edges.row[inside]] + 1 - level[edges.col[inside]]
+    return int(np.gcd.reduce(np.abs(steps)))
 
 
 def is_aperiodic(chain: DTMC) -> bool:

@@ -102,7 +102,7 @@ def _stationary_impl(
 ) -> np.ndarray:
     """Shared stationary-distribution kernel (direct or iterative).
 
-    ``assume_irreducible`` skips the upfront Tarjan pass; callers that
+    ``assume_irreducible`` skips the upfront SCC decomposition; callers that
     know the chain is strongly connected (BSCC sub-chains) use it to
     avoid re-deriving the SCC structure.  Failures of the direct solve
     still re-verify irreducibility before falling back, so a reducible
@@ -244,7 +244,7 @@ def _long_run_impl(chain: DTMC, engine=None) -> np.ndarray:
             validate=False,
         )
         # A BSCC is strongly connected by construction, so skip the
-        # per-class Tarjan pass the public entry point would run.
+        # per-class irreducibility check the public entry point would run.
         pi = _stationary_impl(
             sub_chain,
             assume_irreducible=True,

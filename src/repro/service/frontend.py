@@ -62,6 +62,7 @@ import numpy as np
 from ..engine.config import SmcConfig
 from ..engine.sweep import CHECK_BACKENDS, _check_point
 from ..resilience.policies import CircuitBreaker
+from ..zoo.cli import _literal
 from .coordinator import Coordinator, Job
 from .wire import decode_result
 
@@ -154,16 +155,6 @@ ROUTES = [
                    " /stats and /healthz snapshot.",
     },
 ]
-
-
-def _literal(text: str) -> Any:
-    """Parse a query value exactly as the zoo CLI parses ``-p``."""
-    import ast
-
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        return text
 
 
 def _public_value(value: Any) -> Any:

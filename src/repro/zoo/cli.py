@@ -68,6 +68,7 @@ import ast
 import dataclasses
 import os
 import sys
+import threading
 from typing import Any, Dict, Iterable, List, Optional
 
 from ..engine import EXECUTORS, SmcConfig, SweepInterrupted
@@ -79,11 +80,21 @@ from .sweep import sweep as _sweep
 
 __all__ = ["main"]
 
+#: CPython 3.11's AST constructor is not safe to run from several
+#: threads at once (the service front-end parses queries on executor
+#: threads): it can raise "SystemError: AST constructor recursion depth
+#: mismatch".  One lock around ``ast.literal_eval`` serializes parsing.
+_LITERAL_LOCK = threading.Lock()
+
 
 def _literal(text: str) -> Any:
-    """Parse a CLI value: Python literal when possible, else string."""
+    """Parse a CLI value: Python literal when possible, else string.
+
+    The service front-end parses query values with this function too.
+    """
     try:
-        return ast.literal_eval(text)
+        with _LITERAL_LOCK:
+            return ast.literal_eval(text)
     except (ValueError, SyntaxError):
         return text
 

@@ -107,13 +107,6 @@ class TestFromDict:
 
 
 class TestStructuralOps:
-    def test_with_absorbing(self):
-        chain = two_state_chain()
-        frozen = chain.with_absorbing([1])
-        assert frozen.successors(1) == [(1, 1.0)]
-        # Original untouched.
-        assert chain.transition_probability(1, 0) == pytest.approx(0.3)
-
     def test_restricted_to_adds_sink(self):
         chain = knuth_yao_die()
         keep = [i for i, s in enumerate(chain.states) if not s.startswith("d")]
@@ -135,9 +128,3 @@ def test_random_chains_validate(chain):
     row_sums = np.asarray(chain.transition_matrix.sum(axis=1)).ravel()
     assert np.allclose(row_sums, 1.0)
 
-
-@given(random_dtmcs())
-def test_absorbing_copy_is_stochastic(chain):
-    frozen = chain.with_absorbing(range(0, chain.num_states, 2))
-    row_sums = np.asarray(frozen.transition_matrix.sum(axis=1)).ravel()
-    assert np.allclose(row_sums, 1.0)

@@ -29,9 +29,11 @@ modelled in-process to keep the suite fast.
 """
 
 import contextlib
+import gc
 import json
 import os
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -61,6 +63,7 @@ from repro.service import (
 )
 from repro.service import wire
 from repro.service.client import kill_worker, remote_sweep, service_stats
+from repro.service.frontend import _literal
 from repro.store import ResultStore
 from repro.zoo.registry import ZooError
 
@@ -644,6 +647,41 @@ class TestFrontend:
             with pytest.raises(urllib.error.HTTPError) as exc:
                 urllib.request.urlopen(f"{base}/guarantee", timeout=10)
             assert exc.value.code == 400
+
+    def test_query_parser_survives_concurrent_threads(self):
+        # Executor threads parse query values at once.  Frequent GC with a
+        # Python callback and a tiny switch interval make CPython 3.11's
+        # AST constructor raise SystemError unless parsing is serialized.
+        errors = []
+
+        def parse():
+            try:
+                for _ in range(2000):
+                    _literal("[1, 2.5, 'x']")
+                    _literal("{'snr_db': 6, 'reduce': True}")
+                    _literal("mimo-1x2")
+            except Exception as exc:
+                errors.append(exc)
+
+        def on_gc(phase, info):
+            sum(range(10))
+
+        threshold, interval = gc.get_threshold(), sys.getswitchinterval()
+        gc.set_threshold(5, 1, 1)
+        gc.callbacks.append(on_gc)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=parse) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            gc.callbacks.remove(on_gc)
+            gc.set_threshold(*threshold)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 # ----------------------------------------------------------------------
