@@ -2,7 +2,7 @@
 
 Not a paper table: these measure the substrate operations the
 experiment drivers are built from (state-space exploration, transient
-solve, steady state, lumping, symbolic cross-check), so regressions in
+solve, steady state, lumping), so regressions in
 the engine show up independently of the case studies.
 """
 
@@ -16,7 +16,6 @@ from repro.dtmc import (
 )
 from repro.engine import Engine
 from repro.pctl import ModelChecker, check
-from repro.symbolic import SymbolicEngine
 from repro.viterbi import ViterbiModelConfig, build_reduced_model
 
 
@@ -132,15 +131,3 @@ def test_bench_lu_solve_warm(benchmark, viterbi_chain, reward_subsystem):
     )
     assert np.isfinite(solution).all()
     assert engine.stats.lu_factorizations == 1
-
-
-def test_bench_symbolic_cross_check(benchmark):
-    config = ViterbiModelConfig(traceback_length=3, num_levels=3, pm_max=3)
-    chain = build_reduced_model(config).chain
-
-    def symbolic_p2():
-        return SymbolicEngine(chain).instantaneous_reward("flag", 30)
-
-    symbolic = benchmark.pedantic(symbolic_p2, rounds=1, iterations=1)
-    sparse = check(chain, "R=? [ I=30 ]").value
-    assert symbolic == pytest.approx(sparse, abs=1e-12)

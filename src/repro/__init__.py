@@ -5,9 +5,8 @@ probabilistic model checking of MIMO RTL designs.  RTL blocks with
 quantization and channel noise become discrete-time Markov chains;
 BER-like metrics become pCTL properties; property-preserving reductions
 (lumping, bisimulation, symmetry) keep the state spaces tractable; and
-an explicit-state model checker — cross-checked by a from-scratch
-BDD/MTBDD symbolic engine — returns exact answers where Monte-Carlo
-simulation only returns estimates.
+an explicit-state model checker returns exact answers where
+Monte-Carlo simulation only returns estimates.
 
 Quick start::
 
@@ -32,7 +31,6 @@ Subpackages
 ``repro.dtmc``     — explicit-state DTMC engine + builder
 ``repro.pctl``     — pCTL syntax, parser, model checker
 ``repro.prog``     — guarded-command modeling language
-``repro.symbolic`` — BDD/MTBDD engine (PRISM-style substrate)
 ``repro.comm``     — modulation, channels, quantizers, BER theory
 ``repro.viterbi``  — Viterbi decoder case study (Sections IV-A/C)
 ``repro.mimo``     — MIMO ML detector case study (Section IV-B)

@@ -14,36 +14,20 @@ timed, error-capturing results:
 [12.0, 16.0, 24.0, 32.0]
 
 ``executor`` selects ``"thread"`` (default — model building spends
-most time in scipy, which releases the GIL), ``"process"`` (full
-isolation; the sweep function must be picklable), or ``"serial"``
-(in-process, deterministic, used by the tests and for debugging).
-The process executor is *sharded*: the point grid is chunked into
-contiguous shards (``shard_size`` points each) so worker dispatch and
-pickling are amortized across a shard, and the ordered merge of shard
-results is bit-identical to the serial path — per-point seed streams
-are spawned by grid index, never by worker, so shards are
-embarrassingly mergeable.
+most time in scipy, which releases the GIL), ``"serial"`` (in-process,
+deterministic, used by the tests and for debugging), or one of the two
+worker fleets, which share the crash-recovery protocol of
+:class:`~repro.service.Coordinator`: ``"process"`` forks one on this
+host (:mod:`repro.service.local`) and ``"remote"`` ships the sweep to
+a running one (:mod:`repro.service`).  Results merge by grid index,
+bit-identical to the serial path — per-point seed streams are spawned
+by grid index, never by worker.
 
-Every runner is fault-tolerant (see :mod:`repro.resilience`):
-
-* a :class:`~repro.resilience.RetryPolicy` re-attempts failing points
-  with exponential backoff and deterministic per-point jitter;
-* a :class:`~repro.resilience.DeadlinePolicy` bounds each point's
-  wall-clock — watchdog threads on the serial/thread executors,
-  pool-level ``concurrent.futures`` timeouts on the process executor;
-* the process executor survives worker death: on
-  ``BrokenProcessPool`` (or a pool-level deadline overrun) the pool is
-  rebuilt, lost shards are resubmitted one at a time, and a
-  repeatedly-fatal shard is bisected down to the single poisoned
-  point, which is *quarantined* into a :class:`SweepResult` carrying
-  its error and attempt count while every surviving point's result
-  stays bit-identical to the serial path;
-* failed results carry an abbreviated traceback (``traceback``) and
-  the attempt count (``attempts``) for post-mortems, and
-  :func:`sweep_check` validates every emitted value
-  (:func:`repro.resilience.validate_guarantee`), attaching structured
-  ``warnings`` instead of silently accepting NaN/Inf/out-of-range
-  numbers.
+Every runner takes the :mod:`repro.resilience` policies (retries with
+deterministic backoff, per-point deadlines); failed results carry an
+abbreviated ``traceback`` and their ``attempts``, and
+:func:`sweep_check` attaches structured validation ``warnings``
+instead of silently accepting NaN/Inf/out-of-range numbers.
 
 :func:`sweep_check` is the property-checking specialization: one pCTL
 formula evaluated across a grid of models with a selectable checking
@@ -62,8 +46,7 @@ import os
 import threading
 import time
 import traceback as _traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import wait as _futures_wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
 from typing import (
@@ -95,11 +78,9 @@ __all__ = [
     "EXECUTORS",
 ]
 
-#: Every sweep executor: in-process serial/thread, the sharded process
-#: pool, and the networked worker fleet of :mod:`repro.service`.
+#: Every sweep executor: in-process serial/thread, and the local and
+#: networked worker fleets of :mod:`repro.service`.
 EXECUTORS = ("serial", "thread", "process", "remote")
-
-_EXECUTORS = EXECUTORS
 
 #: Checking backends of :func:`sweep_check`: the exact solver engine,
 #: the Hoeffding estimator, and the sequential probability ratio test.
@@ -110,8 +91,8 @@ class SweepInterrupted(KeyboardInterrupt):
     """Ctrl-C landed mid-sweep; ``partial`` holds what had finished.
 
     Every runner converts a ``KeyboardInterrupt`` into this after
-    shutting its workers down cleanly (pools terminated, remote jobs
-    cancelled — no orphaned processes), so callers can salvage the
+    shutting its workers down cleanly (local workers stopped, remote
+    jobs cancelled — no orphaned processes), so callers can salvage the
     completed :class:`SweepResult` list: :func:`sweep_check` banks the
     successful partials into its :class:`~repro.store.ResultStore`
     before re-raising, which is what makes a Ctrl-C'd ``--store`` sweep
@@ -147,8 +128,9 @@ class SweepResult:
     attempts:
         How many tries this point consumed: in-worker retries under a
         :class:`~repro.resilience.RetryPolicy`, or — for points
-        quarantined by process-pool crash recovery — the number of
-        pool waves the point was implicated in before isolation.
+        quarantined by a worker fleet's crash recovery — the number of
+        lease strikes (expired leases covering the point) before
+        isolation.
     traceback:
         Abbreviated traceback (the last few frames) of the failure,
         so a quarantined point is debuggable from a
@@ -211,8 +193,8 @@ def _call_with_deadline(
     The point runs in a daemon helper thread; when the deadline passes
     the helper is *abandoned* (Python threads cannot be killed) and
     :class:`DeadlineExceeded` is raised in the caller — the watchdog
-    half of the deadline contract (the process executor uses pool
-    timeouts instead, see :func:`_process_sweep`).
+    half of the deadline contract (the worker fleets use coordinator
+    lease budgets instead).
     """
     if deadline is None:
         return fn(point)
@@ -272,200 +254,6 @@ def _run_point(
         )
 
 
-def _run_shard(
-    fn: Callable[[Any], Any],
-    shard: Sequence[Any],
-    retry: Optional[RetryPolicy] = None,
-) -> List[SweepResult]:
-    """One process-executor work unit: a contiguous slice of points.
-
-    Retries run *inside* the worker (cheap, no resubmission); deadlines
-    are enforced at the pool level by :func:`_process_sweep`, which is
-    the only enforcement that also catches hard (C-level) hangs.
-    """
-    return [_run_point(fn, point, retry) for point in shard]
-
-
-def _shard(points: Sequence[Any], workers: int, shard_size: Optional[int]):
-    """Chunk ``points`` into contiguous index ranges for the pool.
-
-    The default shard size targets four shards per worker — large
-    enough to amortize pickling and dispatch, small enough that a slow
-    shard cannot serialize the tail of the sweep.  Ranges (rather than
-    point slices) are the unit of crash recovery: a fatal range is
-    bisected by index until the poisoned point is isolated.
-    """
-    if shard_size is None:
-        shard_size = max(1, -(-len(points) // (4 * workers)))
-    if shard_size < 1:
-        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    return [
-        (start, min(start + shard_size, len(points)))
-        for start in range(0, len(points), shard_size)
-    ]
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Hard-stop a pool whose workers may be hung or dead.
-
-    ``shutdown(wait=True)`` would block on a hung worker forever, so
-    pending futures are cancelled and surviving worker processes are
-    terminated outright — the pool is disposable, the next wave builds
-    a fresh one.
-    """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    for process in processes:
-        process.join(timeout=1.0)
-
-
-def _wave_budget(
-    deadline: Optional[DeadlinePolicy],
-    retry: Optional[RetryPolicy],
-    wave_points: int,
-    workers: int,
-) -> Optional[float]:
-    """Pool-level wait budget for one wave of shard futures.
-
-    Conservative: per-point budget (deadline x in-worker retry
-    attempts) times the worst sequential run any single worker might
-    see, plus one extra point and the policy's startup grace.  A wave
-    that overruns it has a hung worker somewhere; the not-yet-finished
-    shards become recovery suspects.
-    """
-    if deadline is None:
-        return None
-    attempts = retry.max_attempts if retry is not None else 1
-    per_point = deadline.timeout * attempts
-    rounds = -(-wave_points // max(1, workers))
-    return per_point * (rounds + 1) + deadline.grace
-
-
-def _process_sweep(
-    fn: Callable[[Any], Any],
-    points: Sequence[Any],
-    *,
-    workers: int,
-    shard_size: Optional[int],
-    retry: Optional[RetryPolicy],
-    deadline: Optional[DeadlinePolicy],
-) -> List[SweepResult]:
-    """Sharded process-pool sweep with crash recovery.
-
-    The happy path is one wave: every shard submitted to one pool,
-    results merged by global index (bit-identical to the serial path —
-    nothing about a point's computation depends on which worker ran
-    it).  On a fault — ``BrokenProcessPool`` from a dying worker, or a
-    pool-budget overrun from a hung one — the pool is torn down and
-    the fabric switches to *isolation mode*: suspect ranges are re-run
-    one per wave in a fresh pool, fatal ranges are bisected, and the
-    single poisoned point left standing is quarantined into a
-    :class:`SweepResult` carrying the failure reason and the number of
-    waves it was implicated in.  Completed shard results are never
-    recomputed; innocent points re-run deterministically.
-    """
-    results: Dict[int, SweepResult] = {}
-    strikes: Dict[int, int] = {}
-    pending: List[Tuple[int, int]] = _shard(points, workers, shard_size)
-    isolate = False
-    try:
-        results = _process_waves(
-            fn, points, pending, workers=workers, retry=retry,
-            deadline=deadline, results=results, strikes=strikes,
-            isolate=isolate,
-        )
-    except KeyboardInterrupt:
-        # Each wave's ``finally`` already tore its pool down (no
-        # orphaned workers); salvage what completed, in grid order.
-        raise SweepInterrupted(
-            [results[index] for index in sorted(results)]
-        ) from None
-    return [results[index] for index in range(len(points))]
-
-
-def _process_waves(
-    fn: Callable[[Any], Any],
-    points: Sequence[Any],
-    pending: List[Tuple[int, int]],
-    *,
-    workers: int,
-    retry: Optional[RetryPolicy],
-    deadline: Optional[DeadlinePolicy],
-    results: Dict[int, SweepResult],
-    strikes: Dict[int, int],
-    isolate: bool,
-) -> Dict[int, SweepResult]:
-    """The wave loop of :func:`_process_sweep`; fills ``results`` in
-    place (so an interrupt can salvage partials) and returns it."""
-    while pending:
-        if isolate:  # one suspect range per wave: unambiguous blame
-            wave, pending = [pending[0]], pending[1:]
-        else:
-            wave, pending = pending, []
-        wave_points = sum(stop - start for start, stop in wave)
-        budget = _wave_budget(deadline, retry, wave_points, workers)
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(wave)))
-        started = time.perf_counter()
-        futures: Dict[Any, Tuple[int, int]] = {}
-        try:
-            futures = {
-                pool.submit(_run_shard, fn, points[start:stop], retry): (
-                    start,
-                    stop,
-                )
-                for start, stop in wave
-            }
-            done, not_done = _futures_wait(futures, timeout=budget)
-            elapsed = time.perf_counter() - started
-            suspects: List[Tuple[Tuple[int, int], str]] = []
-            for future in done:
-                span = futures[future]
-                try:
-                    shard_results = future.result()
-                except Exception as exc:  # worker death, pool breakage
-                    detail = str(exc) or "worker process died"
-                    suspects.append(
-                        (span, f"{type(exc).__name__}: {detail}")
-                    )
-                else:
-                    for offset, result in enumerate(shard_results):
-                        results[span[0] + offset] = result
-            for future in not_done:
-                span = futures[future]
-                suspects.append(
-                    (
-                        span,
-                        f"DeadlineExceeded: shard still running after the"
-                        f" {budget:.6g}s pool budget",
-                    )
-                )
-        finally:
-            if any(not future.done() for future in futures):
-                _terminate_pool(pool)  # hung workers: hard stop
-            else:
-                pool.shutdown(wait=True)
-        if suspects and not isolate:
-            isolate = True
-        for (start, stop), reason in suspects:
-            for index in range(start, stop):
-                strikes[index] = strikes.get(index, 0) + 1
-            if stop - start == 1:  # the poisoned point, isolated
-                results[start] = SweepResult(
-                    point=points[start],
-                    value=None,
-                    seconds=elapsed,
-                    error=reason,
-                    attempts=strikes[start],
-                )
-            else:  # bisect: halve the suspect range and requeue
-                mid = (start + stop) // 2
-                pending.extend([(start, mid), (mid, stop)])
-    return results
-
-
 def sweep(
     fn: Callable[[Any], Any],
     points: Sequence[Any],
@@ -484,23 +272,19 @@ def sweep(
     order.  With ``on_error="capture"`` (default) a failing point
     yields a :class:`SweepResult` with ``error`` set and the sweep
     continues; ``on_error="raise"`` re-raises the first failure after
-    the pool drains.
+    the pool drains.  Either way, a ``fn`` or point that cannot be
+    pickled is not a point failure: the process and remote executors
+    raise its pickling error before any point runs.
 
-    ``executor="process"`` fans *shards* (contiguous chunks of
-    ``shard_size`` points, see :func:`_shard`) through a
-    :class:`~concurrent.futures.ProcessPoolExecutor` and merges the
-    ordered shard results; ``shard_size`` is ignored by the serial and
-    thread executors, where per-point submission is already cheap.  The
-    process path survives worker crashes and pool-level deadline
-    overruns — see :func:`_process_sweep`.
-
-    ``executor="remote"`` ships the sweep to a
-    :class:`~repro.service.Coordinator` worker fleet (``remote`` names
-    its ``HOST:PORT`` address, or the ``REPRO_COORDINATOR`` environment
-    variable does): workers pull shard leases, dead workers have their
-    leases reassigned, and the merged results are bit-identical to the
-    serial path — see :mod:`repro.service`.  ``fn`` must be picklable,
-    exactly as for the process executor.
+    ``executor="process"`` runs ``max_workers`` worker processes on this
+    host and ``executor="remote"`` ships the sweep to a running
+    :class:`~repro.service.Coordinator` fleet (``remote`` names its
+    ``HOST:PORT`` address, or the ``REPRO_COORDINATOR`` environment
+    variable does).  Both lease out ``shard_size`` contiguous points at
+    a time (~4 leases per worker by default), survive worker crashes
+    and deadline overruns by bisection and quarantine, and need a
+    picklable ``fn``; the serial and thread executors ignore
+    ``shard_size``.
 
     ``retry`` (a :class:`~repro.resilience.RetryPolicy` or a bare
     attempt count) re-attempts transient failures per point;
@@ -509,12 +293,12 @@ def sweep(
     which case this runner behaves exactly as it always has.
 
     A Ctrl-C lands as :class:`SweepInterrupted` after the executor has
-    shut down cleanly (pools terminated, remote job cancelled — no
+    shut down cleanly (local workers stopped, remote job cancelled — no
     orphaned workers), carrying the completed partial results.
     """
-    if executor not in _EXECUTORS:
+    if executor not in EXECUTORS:
         raise ValueError(
-            f"unknown executor {executor!r}; choose from {', '.join(_EXECUTORS)}"
+            f"unknown executor {executor!r}; choose from {', '.join(EXECUTORS)}"
         )
     if on_error not in ("capture", "raise"):
         raise ValueError(f"on_error must be 'capture' or 'raise', got {on_error!r}")
@@ -546,11 +330,12 @@ def sweep(
         except KeyboardInterrupt:
             raise SweepInterrupted(results) from None
     elif executor == "process":
-        workers = max_workers or min(len(points), os.cpu_count() or 1)
-        results = _process_sweep(
+        from ..service.local import local_sweep  # deferred: avoid cycle
+
+        results = local_sweep(
             fn,
             points,
-            workers=workers,
+            workers=max_workers or min(len(points), os.cpu_count() or 1),
             shard_size=shard_size,
             retry=retry,
             deadline=deadline,
@@ -576,12 +361,16 @@ def sweep(
             raise SweepInterrupted(partial) from None
         pool.shutdown(wait=True)
     if on_error == "raise":
-        for result in results:
-            if not result.ok:
-                raise RuntimeError(
-                    f"sweep point {result.point!r} failed: {result.error}"
-                )
+        _raise_first_failure(results)
     return results
+
+
+def _raise_first_failure(results: Sequence[SweepResult]) -> None:
+    for result in results:
+        if not result.ok:
+            raise RuntimeError(
+                f"sweep point {result.point!r} failed: {result.error}"
+            )
 
 
 def _check_point(
@@ -717,11 +506,11 @@ def sweep_check(
         raise ValueError(
             f"unknown backend {backend!r}; choose from {', '.join(CHECK_BACKENDS)}"
         )
-    if executor not in _EXECUTORS:
+    if executor not in EXECUTORS:
         # Fail before any store traffic or seed spawning, with the full
         # executor list — not a deep error out of the runner.
         raise ValueError(
-            f"unknown executor {executor!r}; choose from {', '.join(_EXECUTORS)}"
+            f"unknown executor {executor!r}; choose from {', '.join(EXECUTORS)}"
         )
     if backend == "sprt" and theta is None:
         raise ValueError("backend='sprt' needs a threshold theta")
@@ -776,6 +565,21 @@ def sweep_check(
         solver=solver,
         seeds=seeds,
     )
+
+    def bank(index: int, result: SweepResult) -> None:
+        # Failures are never banked: a quarantined or timed-out point
+        # must be recomputed on the next run, not served as a warm hit.
+        if store is not None and result.ok:
+            store.put(
+                scenario_ids[index],
+                formula,
+                result.value,
+                backend=backend,
+                config=fingerprint,
+                seconds=result.seconds,
+                extra=store_extra,
+            )
+
     try:
         computed = sweep(
             run,
@@ -791,35 +595,13 @@ def sweep_check(
     except SweepInterrupted as interrupt:
         # Ctrl-C: bank every successful partial before propagating, so
         # a --store sweep resumes from exactly where it was cut off.
-        if store is not None:
-            for result in interrupt.partial:
-                if result.ok and isinstance(result.point, tuple):
-                    index = result.point[0]
-                    store.put(
-                        scenario_ids[index],
-                        formula,
-                        result.value,
-                        backend=backend,
-                        config=fingerprint,
-                        seconds=result.seconds,
-                        extra=store_extra,
-                    )
+        for result in interrupt.partial:
+            bank(result.point[0], result)
         raise
     for index, result in zip(misses, computed):
+        bank(index, result)
         result.point = result.point[1]  # unwrap the (index, point) plumbing
         by_index[index] = result
-        # Failures are never banked: a quarantined or timed-out point
-        # must be recomputed on the next run, not served as a warm hit.
-        if store is not None and result.ok:
-            store.put(
-                scenario_ids[index],
-                formula,
-                result.value,
-                backend=backend,
-                config=fingerprint,
-                seconds=result.seconds,
-                extra=store_extra,
-            )
 
     if validate:
         kind = formula_kind(formula)
@@ -835,11 +617,7 @@ def sweep_check(
         else:  # duplicate point: share the solve, keep the caller's object
             results.append(dataclass_replace(source, point=point))
     if on_error == "raise":
-        for result in results:
-            if not result.ok:
-                raise RuntimeError(
-                    f"sweep point {result.point!r} failed: {result.error}"
-                )
+        _raise_first_failure(results)
     return results
 
 

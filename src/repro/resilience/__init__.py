@@ -7,13 +7,13 @@ fault-tolerance layer threaded through :mod:`repro.engine.sweep`,
 
 * :class:`RetryPolicy` / :class:`DeadlinePolicy` — per-point retry
   budgets (exponential backoff, deterministic jitter) and wall-clock
-  deadlines (watchdog threads on serial/thread executors, pool-level
-  ``concurrent.futures`` timeouts on the process executor).
-* Crash recovery — the process executor survives worker death
-  (``BrokenProcessPool``): the pool is rebuilt, lost shards are
-  resubmitted, and a repeatedly-fatal shard is bisected down to the
-  single poisoned point, which is quarantined into its
-  :class:`~repro.engine.SweepResult` instead of sinking the sweep.
+  deadlines (watchdog threads on serial/thread executors, coordinator
+  lease budgets on the process and remote worker fleets).
+* Crash recovery — the worker fleets survive worker death
+  (``WorkerLost``): the coordinator requeues the lost lease and bisects
+  a repeatedly-fatal one down to the single poisoned point, which is
+  quarantined into its :class:`~repro.engine.SweepResult` instead of
+  sinking the sweep.
 * Checkpoint/resume — sweeps against a
   :class:`~repro.store.ResultStore` persist every *successful* point;
   an interrupted run re-executed with the same store recomputes only

@@ -56,7 +56,7 @@ class Fault:
         ``"raise"`` (throw ``exception(message)``), ``"hang"`` (sleep
         ``hang_seconds`` — the deadline watchdog's prey), ``"kill"``
         (``os._exit`` the worker process, bypassing all cleanup — the
-        ``BrokenProcessPool`` trigger), or ``"corrupt"`` (compute
+        ``WorkerLost`` trigger), or ``"corrupt"`` (compute
         nothing and return ``corrupt_value`` — the validation layer's
         prey).
     times:
@@ -152,7 +152,7 @@ class FaultInjector:
         Directory for the attempt scoreboard.  Every injection check
         claims the next ``<digest>.<n>`` file with ``O_CREAT|O_EXCL``,
         which is atomic across processes — the count survives worker
-        kills and process-pool rebuilds.
+        kills and respawns.
     """
 
     def __init__(
@@ -313,29 +313,6 @@ class FaultInjector:
         time.sleep(fault.delay_seconds)  # kind == "delay"
         sock.sendall(data)
         return True
-
-    def with_fault(self, point: Any, fault: Fault) -> "FaultInjector":
-        """Copy of this injector with one more planned fault."""
-        clone = FaultInjector({}, self.state_dir)
-        clone.plan = dict(self.plan)
-        clone.plan[_canonical(point)] = fault
-        return clone
-
-    @staticmethod
-    def kill_remote(connect: str, worker: Optional[str] = None) -> str:
-        """Kill one networked sweep worker over the wire.
-
-        The distributed twin of ``Fault(kind="kill")``: asks the
-        coordinator at ``connect`` to order ``worker`` (an id from
-        ``/stats``, or any live worker when ``None``) to ``os._exit``
-        on its next poll — no cleanup, exactly a SIGKILL's footprint.
-        The coordinator's reaper then reassigns the victim's leases,
-        which is the recovery path chaos tests exist to exercise.
-        Returns the condemned worker's id.
-        """
-        from ..service.client import kill_worker
-
-        return kill_worker(connect, worker)
 
 
 class _InjectedFunction:

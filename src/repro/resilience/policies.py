@@ -16,14 +16,14 @@ lost grid.  The two policies here are the knobs the fabric accepts:
 :class:`DeadlinePolicy`
     The per-point wall-clock budget.  Serial and thread executors
     enforce it with a watchdog (the point runs in a helper thread that
-    is abandoned when the deadline passes); the process executor
-    enforces it with :mod:`concurrent.futures` timeouts at the pool
-    level, escalating hung shards into the crash-recovery protocol of
-    :func:`repro.engine.sweep`.
+    is abandoned when the deadline passes); the process and remote
+    worker fleets turn it into a lease budget, and the coordinator
+    escalates an overrun lease into its crash-recovery protocol
+    (:class:`repro.service.Coordinator`).
 
 Both are frozen dataclasses with ``coerce`` constructors so call
 sites can pass bare numbers (``retry=3``, ``deadline=0.5``), and both
-are picklable, so the process executor can ship them into workers.
+are picklable, so the worker fleets can ship them into workers.
 
 :class:`CircuitBreaker`
     The third policy, added for the service front-end: a thread-safe
@@ -79,7 +79,7 @@ class RetryPolicy:
         failed immediately.  :class:`DeadlineExceeded` is an ordinary
         ``TimeoutError`` subclass, so the default ``(Exception,)``
         retries deadline kills too (on the watchdog executors — the
-        process pool quarantines hard hangs without retry).
+        worker fleets quarantine hard hangs without retry).
     """
 
     max_attempts: int = 3
@@ -159,13 +159,13 @@ class DeadlinePolicy:
         Seconds one point may run before it is killed.  Serial/thread
         executors abandon the point's watchdog thread and raise
         :class:`DeadlineExceeded` (retryable under a
-        :class:`RetryPolicy` whose ``retry_on`` matches); the process
-        executor waits on shard futures with a budget derived from
-        this and escalates overruns into pool teardown + shard
-        bisection, quarantining the hung point.
+        :class:`RetryPolicy` whose ``retry_on`` matches); the worker
+        fleets give each lease a budget derived from this and bisect a
+        lease that overruns it, quarantining the hung point (the local
+        fleet also kills the hung worker).
     grace:
-        Extra allowance (seconds) added to pool-level waits for worker
-        startup and dispatch; irrelevant to the watchdog executors.
+        Extra allowance (seconds) added to each point's lease budget
+        for dispatch; irrelevant to the watchdog executors.
     """
 
     timeout: float

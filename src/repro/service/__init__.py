@@ -13,6 +13,9 @@ The distributed half of the guarantee pipeline, stdlib networking only
   executing leases through the ordinary sweep fabric;
 * :mod:`repro.service.client` — :func:`remote_sweep`, the transport
   behind ``executor="remote"`` in :func:`repro.engine.sweep`;
+* :mod:`repro.service.local` — :func:`local_sweep`, the same protocol
+  behind ``executor="process"``: a journal-less coordinator on
+  loopback plus forked workers;
 * :mod:`repro.service.frontend` — ``repro-zoo serve``: ``/guarantee``
   answered straight from the :class:`~repro.store.ResultStore` on a
   hit, enqueued on the fleet on a miss;

@@ -98,10 +98,9 @@ def call_with_retry(
     ) from last
 
 
-def _merge(
-    points: Sequence[Any], snapshot: Dict[str, Any]
-) -> Dict[int, SweepResult]:
-    """Decode one job snapshot into ``{index: SweepResult}``."""
+def _merge(points: Sequence[Any], snapshot: Dict[str, Any]) -> List[SweepResult]:
+    """Decode one job snapshot into its results, in grid order (all of
+    them once the job is done, else the partials)."""
     merged: Dict[int, SweepResult] = {}
     for text, encoded in snapshot.get("results", {}).items():
         merged[int(text)] = decode_result(encoded)
@@ -114,7 +113,29 @@ def _merge(
             error=record.get("error", "WorkerLost: lease expired"),
             attempts=int(record.get("attempts", 1)),
         )
-    return merged
+    return [merged[index] for index in sorted(merged)]
+
+
+def _job_fields(
+    fn: Any,
+    points: Sequence[Any],
+    retry: Optional[RetryPolicy],
+    deadline: Optional[DeadlinePolicy],
+) -> Dict[str, Any]:
+    """The payload of one sweep job as :meth:`Coordinator.submit` takes
+    it: encoded function, retry policy and points, plus the per-point
+    lease budget (deadline x in-worker attempts + grace)."""
+    attempts = retry.max_attempts if retry is not None else 1
+    return {
+        "fn": encode(fn),
+        "retry": encode(retry) if retry is not None else None,
+        "points": [encode(point) for point in points],
+        "point_budget": (
+            deadline.timeout * attempts + deadline.grace
+            if deadline is not None
+            else None
+        ),
+    }
 
 
 def remote_sweep(
@@ -132,9 +153,9 @@ def remote_sweep(
 ) -> List[SweepResult]:
     """Run one sweep on a worker fleet; blocks until merged.
 
-    ``retry`` ships to the workers (in-worker attempts, exactly the
-    process executor's contract); ``deadline`` becomes the per-point
-    lease budget that catches hung-but-heartbeating workers.
+    ``retry`` ships to the workers (in-worker attempts); ``deadline``
+    becomes the per-point lease budget that catches
+    hung-but-heartbeating workers.
     ``timeout`` bounds the whole sweep — on expiry the job is cancelled
     and a ``TimeoutError`` raised.  ``connect_retry`` is the *transport*
     budget for each coordinator round trip: polls ride through a
@@ -144,21 +165,12 @@ def remote_sweep(
     points = list(points)
     if not points:
         return []
-    attempts = retry.max_attempts if retry is not None else 1
-    point_budget = (
-        deadline.timeout * attempts + deadline.grace
-        if deadline is not None
-        else None
-    )
     submitted = call_with_retry(
         connect,
         {
             "type": "submit",
-            "fn": encode(fn),
-            "retry": encode(retry) if retry is not None else None,
-            "points": [encode(point) for point in points],
+            **_job_fields(fn, points, retry, deadline),
             "shard_size": shard_size,
-            "point_budget": point_budget,
             "meta": meta or {},
         },
         retry=connect_retry,
@@ -189,12 +201,8 @@ def remote_sweep(
             snapshot = request(connect, {"type": "cancel", "job": job})
         except Exception:  # noqa: BLE001 - best effort on the way out
             pass
-        partial = _merge(points, snapshot)
-        raise SweepInterrupted(
-            [partial[index] for index in sorted(partial)]
-        ) from None
-    merged = _merge(points, snapshot)
-    return [merged[index] for index in range(len(points))]
+        raise SweepInterrupted(_merge(points, snapshot)) from None
+    return _merge(points, snapshot)
 
 
 def service_stats(
@@ -209,10 +217,10 @@ def service_stats(
 def kill_worker(connect: str, worker: Optional[str] = None) -> str:
     """Order one worker (by id, or any) to die on its next poll.
 
-    The over-the-wire chaos primitive used by
-    :meth:`repro.resilience.FaultInjector.kill_remote`; returns the
-    condemned worker's id.  Deliberately *not* retried: chaos tooling
-    should see the coordinator's true availability.
+    The over-the-wire chaos primitive (the networked twin of
+    ``Fault(kind="kill")``); returns the condemned worker's id.
+    Deliberately *not* retried: chaos tooling should see the
+    coordinator's true availability.
     """
     reply = request(
         connect, {"type": "kill", "worker": worker or "any"}

@@ -1,7 +1,8 @@
 """The shard coordinator: leases, heartbeats, and crash recovery.
 
-The coordinator is the networked twin of the process executor's wave
-loop (:func:`repro.engine.sweep._process_sweep`): a sweep job arrives
+The one crash-recovery protocol of every multi-process sweep: a remote
+fleet (``executor="remote"``) and the local one of ``executor="process"``
+(:mod:`repro.service.local`) both run through it.  A sweep job arrives
 as a pickled sweep function plus an encoded point list, is chunked
 into contiguous *shard leases*, and workers pull leases, compute them
 through the ordinary fabric (`_run_point`, so retry policies apply
@@ -10,7 +11,7 @@ global grid index, so the assembled sweep is bit-identical to the
 serial path no matter which worker ran what, how leases were split,
 or how many workers died along the way.
 
-Fault model — exactly the process executor's, stretched over TCP:
+Fault model:
 
 * a worker that stops heartbeating (SIGKILL, OOM, unplugged host) has
   its leases *reassigned*: the reaper requeues them for the next
@@ -21,8 +22,7 @@ Fault model — exactly the process executor's, stretched over TCP:
   :class:`~repro.engine.SweepResult` carrying the failure reason and
   strike count, every other point's value untouched;
 * a hung-but-heartbeating worker is caught by the per-point budget of
-  a :class:`~repro.resilience.DeadlinePolicy` shipped with the job,
-  mirroring the pool-level budget of the process path;
+  a :class:`~repro.resilience.DeadlinePolicy` shipped with the job;
 * ordinary exceptions never reach this layer: ``_run_point`` captures
   them into the result inside the worker.
 
@@ -55,7 +55,7 @@ import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .journal import JobJournal
 from .wire import (
@@ -66,6 +66,13 @@ from .wire import (
 )
 
 __all__ = ["Coordinator", "CoordinatorServer", "WorkerInfo", "Job"]
+
+
+def default_shard_size(count: int, workers: int) -> int:
+    """Points per lease when the submitter names no ``shard_size``:
+    ~4 leases per worker, so a crash or hang costs a quarter of one
+    worker's share."""
+    return max(1, -(-count // (4 * workers)))
 
 
 def _service_salt() -> str:
@@ -88,6 +95,7 @@ class WorkerInfo:
     points_done: int = 0
     kill_requested: bool = False
     deregistered: bool = False
+    hung: bool = False  # a lease it held overran its budget: kill it
 
     def snapshot(self, liveness: float, now: float) -> Dict[str, Any]:
         return {
@@ -99,6 +107,7 @@ class WorkerInfo:
             "last_seen_age": round(now - self.last_seen, 3),
             "shards_done": self.shards_done,
             "points_done": self.points_done,
+            "hung": self.hung,
         }
 
     def alive(self, liveness: float, now: float) -> bool:
@@ -240,7 +249,11 @@ class Coordinator:
                 results=dict(record.results),
                 quarantined=dict(record.quarantined),
             )
-            job.pending = self._reshard(record.missing_ranges(), job)
+            # Only the missing grid runs are re-queued, chopped back into
+            # lease-sized shards (one long run must not be one lease).
+            job.pending = self._shards(
+                job.total, job.shard_size, ranges=record.missing_ranges()
+            )
             self.jobs[job.id] = job
             if job.done:  # crashed between the last merge and record_done
                 journal.record_done(job.id)
@@ -249,22 +262,6 @@ class Coordinator:
             suffix = job.id.rsplit("-", 1)[-1]
             if suffix.isdigit():
                 self._counter = max(self._counter, int(suffix))
-
-    def _reshard(
-        self, ranges: List[Tuple[int, int]], job: Job
-    ) -> List[Tuple[int, int]]:
-        """Chop replayed missing runs back into lease-sized shards
-        (the submitted ``shard_size`` when given, else ~quarters), so
-        one long untouched run does not become one giant lease."""
-        size = job.shard_size
-        if size is None or size < 1:
-            size = max(1, -(-len(job.points) // 4))
-        shards: List[Tuple[int, int]] = []
-        for start, stop in ranges:
-            shards.extend(
-                (lo, min(lo + size, stop)) for lo in range(start, stop, size)
-            )
-        return shards
 
     # -- id / shard helpers ------------------------------------------------
 
@@ -278,18 +275,23 @@ class Coordinator:
             1 for w in self.workers.values() if w.alive(self.liveness, now)
         )
 
-    def _shards(self, count: int, shard_size: Optional[int]) -> List[Tuple[int, int]]:
-        """Contiguous index ranges, ~4 shards per live worker by default
-        (the process executor's sizing, with the pool size replaced by
-        whoever is registered right now)."""
+    def _shards(
+        self,
+        count: int,
+        shard_size: Optional[int],
+        ranges: Optional[List[Tuple[int, int]]] = None,
+    ) -> List[Tuple[int, int]]:
+        """``ranges`` (default: the whole ``count``-point grid) chopped
+        into contiguous shards, by default ~4 per worker registered
+        right now (:func:`default_shard_size`)."""
         if shard_size is None:
-            workers = max(1, self._live_workers())
-            shard_size = max(1, -(-count // (4 * workers)))
+            shard_size = default_shard_size(count, max(1, self._live_workers()))
         if shard_size < 1:
             raise WireError(f"shard_size must be >= 1, got {shard_size}")
         return [
-            (start, min(start + shard_size, count))
-            for start in range(0, count, shard_size)
+            (lo, min(lo + shard_size, stop))
+            for start, stop in (ranges if ranges is not None else [(0, count)])
+            for lo in range(start, stop, shard_size)
         ]
 
     # -- submission / collection (client side) -----------------------------
@@ -379,8 +381,9 @@ class Coordinator:
         """Expire leases of dead workers and blown budgets; returns the
         number of leases reassigned or quarantined.
 
-        Run periodically by :class:`CoordinatorServer`; callable
-        directly (with a synthetic ``now``) from tests.
+        Run periodically by :class:`CoordinatorServer` (and on every
+        worker exit by :meth:`reap_local`); callable directly (with a
+        synthetic ``now``) from tests.
         """
         now = now if now is not None else time.time()
         reaped = 0
@@ -403,10 +406,34 @@ class Coordinator:
                         f"{lease.stop}) still running after its"
                         f" {lease.deadline - lease.granted:.6g}s budget"
                     )
+                    if worker is not None and not dead:
+                        worker.hung = True
                     del job.leases[lease.id]
                     self._requeue(job, lease.start, lease.stop, reason)
                     reaped += 1
         return reaped
+
+    def reap_local(self, exited: Sequence[int] = ()) -> List[int]:
+        """:meth:`reap` for a supervisor that owns the worker processes.
+
+        Workers registered from an ``exited`` pid are marked dead first,
+        so their leases requeue now instead of after ``liveness``.
+        Returns the pids of workers flagged ``hung`` by this or any
+        earlier reap: they get no new lease, and the supervisor kills
+        them.
+        """
+        with self._lock:
+            for worker in self.workers.values():
+                if worker.pid in exited:
+                    worker.deregistered = True
+        self.reap()
+        with self._lock:
+            hung = [
+                w for w in self.workers.values() if w.hung and not w.deregistered
+            ]
+            for worker in hung:
+                worker.deregistered = True
+        return [worker.pid for worker in hung]
 
     def _requeue(self, job: Job, start: int, stop: int, reason: str) -> None:
         """The bisection protocol: strike every implicated point, split
@@ -472,6 +499,12 @@ class Coordinator:
             return handler(message)
         except WireError as exc:
             return {"type": "error", "error": str(exc)}
+        except (KeyError, TypeError, ValueError) as exc:  # missing/ill-typed field
+            return {
+                "type": "error",
+                "error": f"malformed {message.get('type')!r} message:"
+                f" {type(exc).__name__}: {exc}",
+            }
 
     def _on_register(self, message: Dict[str, Any]) -> Dict[str, Any]:
         if message.get("protocol") != PROTOCOL_VERSION:
@@ -714,6 +747,7 @@ class _Handler(socketserver.BaseRequestHandler):
 class _TCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+    request_queue_size = 128  # a whole fleet may connect before serving starts
 
 
 class CoordinatorServer:

@@ -33,8 +33,8 @@ field-by-field and rebuilt on read, so a warm sweep returns objects
 equal to the cold run's.
 
 The store pickles by *location* (path, salt, timeout), not by
-connection: each unpickled copy — e.g. one per
-``ProcessPoolExecutor`` worker in a sharded survey — reopens its own
+connection: each unpickled copy — e.g. one per worker process in a
+sharded survey — reopens its own
 connection lazily, which is exactly the safe way to share sqlite
 across processes.
 """

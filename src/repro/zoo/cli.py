@@ -46,7 +46,7 @@ the tolerance, so CI can gate on it.
 ``serve`` runs the networked guarantee service (coordinator + HTTP
 front-end + optional local workers); ``worker`` joins a running
 coordinator from any host; ``--executor remote --connect HOST:PORT``
-runs a sweep on that fleet instead of local pools.  A Ctrl-C during
+runs a sweep on that fleet instead of on this host.  A Ctrl-C during
 any sweep shuts the executor down cleanly (no orphaned workers), banks
 finished points to ``--store``, and exits 130 with a resume hint.
 

@@ -13,16 +13,16 @@ read-through cached: points are keyed by the *fully merged*
 :class:`~repro.zoo.pipeline.ScenarioSpec` identity (family + defaults
 + base params + point + the ``reduce`` flag), so a warm repeat of the
 same grid — or any overlapping grid — is served from the store instead
-of re-solved.  ``executor="process"`` shards the grid across a
-process pool (see :func:`repro.engine.sweep`); the merged results are
-bit-identical to the serial path because per-point seed streams are
+of re-solved.  ``executor="process"`` leases shards of the grid to
+local worker processes (see :func:`repro.engine.sweep`); the merged
+results are bit-identical to the serial path because per-point seed streams are
 spawned by grid index.
 
 :func:`survey` is the zoo-wide smoke sweep: every registered family at
 its defaults against its own default property — the "does the whole
 zoo still build and check" pass the CI benchmark job tracks.  The
-families fan through *one* shared executor pass (thread or sharded
-process pool), not a sequential per-family loop.
+families fan through *one* shared executor pass (threads or worker
+processes), not a sequential per-family loop.
 """
 
 from __future__ import annotations
@@ -130,9 +130,9 @@ def sweep(
         docs for the exact/apmc/sprt semantics and per-point seeding.
     executor / max_workers / on_error / shard_size:
         Passed through to the underlying sweep runner;
-        ``executor="process"`` fans shards of ``shard_size`` points
-        across a process pool and ``executor="remote"`` ships them to
-        a guarantee-service worker fleet (see :mod:`repro.service`).
+        ``executor="process"`` leases shards of ``shard_size`` points
+        to local worker processes and ``executor="remote"`` to a
+        guarantee-service worker fleet (see :mod:`repro.service`).
     remote:
         Coordinator address (``"HOST:PORT"``) for
         ``executor="remote"``; falls back to ``$REPRO_COORDINATOR``.
@@ -208,7 +208,7 @@ def _survey_family(
     """One survey cell: a family checked at its defaults.
 
     Module-level (and built exclusively from picklable pieces) so the
-    survey can fan families across a process pool; each family spawns
+    survey can fan families across worker processes; each family spawns
     its own seed stream from ``smc.seed`` exactly as a standalone
     one-point :func:`sweep` would, so survey results are independent of
     how the families are scheduled.

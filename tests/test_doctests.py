@@ -11,13 +11,11 @@ import pytest
 import repro.core.reductions.equivalence
 import repro.pctl.checker
 import repro.pctl.parser
-import repro.symbolic.encode
 
 MODULES = [
     repro.pctl.parser,
     repro.pctl.checker,
     repro.core.reductions.equivalence,
-    repro.symbolic.encode,
 ]
 
 

@@ -19,6 +19,13 @@ from repro.dtmc import (
 from helpers import knuth_yao_die, random_dtmcs, two_state_chain
 
 
+def dense_distribution(chain, t):
+    """pi_0 P^t by dense matrix power: an independent reference for
+    the sparse vector-matrix iteration of :func:`distribution_at`."""
+    dense = chain.transition_matrix.toarray()
+    return chain.initial_distribution @ np.linalg.matrix_power(dense, t)
+
+
 def brute_force_reach(chain, target_label, t):
     """Enumerate all length-t paths to compute bounded reachability."""
     target = chain.label_vector(target_label)
@@ -69,6 +76,20 @@ class TestRewards:
         chain = two_state_chain(p=0.25, q=0.75)
         # E[hit at t=1] = P(in b at 1) = 0.25
         assert instantaneous_reward(chain, "hit", 1) == pytest.approx(0.25)
+
+    def test_viterbi_p2_matches_dense_matrix_power(self):
+        """The paper's P2 ``R=? [ I=30 ]`` on the reduced Viterbi model
+        against a dense pi_0 P^30 reference."""
+        from repro.pctl import check
+        from repro.viterbi import ViterbiModelConfig, build_reduced_model
+
+        config = ViterbiModelConfig(traceback_length=3, num_levels=3, pm_max=3)
+        chain = build_reduced_model(config).chain
+        dense = float(dense_distribution(chain, 30) @ chain.reward_vector("flag"))
+        assert check(chain, "R=? [ I=30 ]").value == pytest.approx(dense, abs=1e-12)
+        assert instantaneous_reward(chain, "flag", 30) == pytest.approx(
+            dense, abs=1e-12
+        )
 
     def test_cumulative_reward_sums_occupancy(self):
         chain = two_state_chain(p=0.5, q=0.5)
@@ -143,6 +164,7 @@ def test_distribution_stays_stochastic(chain, t):
     pi = distribution_at(chain, t)
     assert pi.min() >= -1e-12
     assert pi.sum() == pytest.approx(1.0)
+    assert np.allclose(pi, dense_distribution(chain, t), atol=1e-9)
 
 
 @given(random_dtmcs(), st.integers(min_value=0, max_value=10))

@@ -5,8 +5,8 @@ Covers the ISSUE-7 acceptance surface:
 * retry policies: attempt budgets, exception allowlists, deterministic
   exponential backoff with per-point jitter;
 * deadline policies: watchdog kills on the serial/thread executors,
-  pool-level budgets on the process executor;
-* crash recovery: worker kills (``BrokenProcessPool``) survive, the
+  coordinator lease budgets on the process executor;
+* crash recovery: worker kills (``WorkerLost``) survive, the
   poisoned point is bisected out and quarantined, and every surviving
   point's value is bit-identical to the serial path;
 * checkpoint/resume: an interrupted store-backed sweep resumed against
@@ -70,6 +70,18 @@ def _poisoned_build(point):
     if point.get("poison"):
         raise RuntimeError("poisoned build")
     return _tiny_chain(point)
+
+
+def _gil_bound_square(point):
+    """``x**2``; at ``x == hold`` it first holds the GIL for about
+    ``seconds`` (``inf``: for good) in one C call, which starves the
+    worker's heartbeat thread too."""
+    if point["x"] == point["hold"]:
+        start = time.perf_counter()
+        sum(range(10**6))
+        rate = 10**6 / max(time.perf_counter() - start, 1e-9)
+        sum(range(int(min(point["seconds"] * rate, 10**18))))
+    return point["x"] ** 2
 
 
 def _deep_raise(point, depth=6):
@@ -309,7 +321,7 @@ class TestDeadlines:
 
 
 # ----------------------------------------------------------------------
-# Process executor: crash recovery, bisection, pool-level deadlines
+# Process executor: crash recovery, bisection, lease deadlines
 # ----------------------------------------------------------------------
 
 class TestProcessRecovery:
@@ -329,8 +341,8 @@ class TestProcessRecovery:
         for index, (got, want) in enumerate(zip(chaos, serial)):
             if index == 5:
                 assert not got.ok
-                assert got.error.startswith("BrokenProcessPool")
-                assert got.attempts >= 2  # implicated across waves
+                assert got.error.startswith("WorkerLost")
+                assert got.attempts >= 2  # struck by every lease it killed
             else:
                 assert got.ok
                 assert got.value == want.value  # bit-identical survivors
@@ -391,9 +403,42 @@ class TestProcessRecovery:
         assert time.perf_counter() - start < 60.0  # never the 120s hang
         assert [r.ok for r in results] == [True, True, False, True, True, True]
         assert results[2].timed_out
-        assert "pool budget" in results[2].error
+        assert "lease [2:3) still running after its" in results[2].error
         survivors = [r.value for i, r in enumerate(results) if i != 2]
         assert survivors == [0, 1, 9, 16, 25]
+
+    def test_gil_holding_hang_quarantined_by_lease_budget(self):
+        # The hung worker cannot heartbeat either.  Its lease budget
+        # (3.5s) outlasts three missed heartbeats, and it must still be
+        # killed at that budget, not left holding a worker slot.
+        points = [{"x": i, "hold": 2, "seconds": math.inf} for i in range(6)]
+        start = time.perf_counter()
+        results = sweep(
+            _gil_bound_square,
+            points,
+            executor="process",
+            shard_size=1,
+            max_workers=2,
+            deadline=DeadlinePolicy(timeout=1.5, grace=1.0),
+        )
+        assert time.perf_counter() - start < 60.0
+        assert [r.ok for r in results] == [True, True, False, True, True, True]
+        assert results[2].timed_out
+        assert "lease [2:3) still running after its" in results[2].error
+        assert [r.value for i, r in enumerate(results) if i != 2] == [
+            0, 1, 9, 16, 25,
+        ]
+
+    def test_long_gil_holding_point_is_not_a_lost_worker(self):
+        # Longer than two heartbeat cutoffs (3s each) in one GIL-holding
+        # call: a correct point, so it must come back with its value.
+        points = [{"x": i, "hold": 1, "seconds": 8.0} for i in range(2)]
+        results = sweep(
+            _gil_bound_square, points, executor="process", max_workers=2
+        )
+        assert [(r.ok, r.value, r.attempts) for r in results] == [
+            (True, 0, 1), (True, 1, 1),
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -618,7 +663,8 @@ class TestSweepReport:
             ),
             SweepResult(
                 point=5, value=None, seconds=0.5,
-                error="BrokenProcessPool: worker died",
+                error="WorkerLost: worker w1 stopped heartbeating"
+                " while holding [4:5)",
             ),
             SweepResult(
                 point=6, value=6.0, seconds=0.6,
@@ -636,7 +682,7 @@ class TestSweepReport:
         assert report.crashed == 1
         assert report.warnings == 1
         assert report.errors == {
-            "DeadlineExceeded": 1, "BrokenProcessPool": 1,
+            "DeadlineExceeded": 1, "WorkerLost": 1,
         }
         assert not report.healthy
         text = report.describe()

@@ -89,10 +89,20 @@ def _sleepy(x):
     return x
 
 
+def _exit_at_start(server):
+    """A local fleet worker body that dies before registering."""
+    os._exit(1)
+
+
 def _interrupt_at_three(x):
     if x == 3:
         raise KeyboardInterrupt
     return x
+
+
+def _slow_square(x):
+    time.sleep(0.25)
+    return x * x
 
 
 # ----------------------------------------------------------------------
@@ -288,6 +298,25 @@ class TestCoordinator:
         assert bad_salt["type"] == "error"
         assert "cache-compatible" in bad_salt["error"]
         assert coord.handle({"type": "???"})["type"] == "error"
+
+    def test_malformed_messages_get_error_replies(self):
+        coord = Coordinator(salt="s")
+        no_fn = coord.handle({"type": "submit"})
+        assert no_fn["type"] == "error"
+        assert "malformed 'submit' message: KeyError" in no_fn["error"]
+        bad_pid = {
+            "type": "register", "protocol": wire.PROTOCOL_VERSION,
+            "salt": "s", "pid": "abc",
+        }
+        reply = coord.handle(bad_pid)
+        assert reply["type"] == "error"
+        assert "malformed 'register' message: ValueError" in reply["error"]
+        assert not coord.workers
+        # Over TCP the peer gets the error reply, not a dropped socket
+        # (which the client's retry loop would answer with a resend).
+        with CoordinatorServer(port=0, coordinator=coord) as server:
+            with pytest.raises(wire.RemoteError, match="malformed 'register'"):
+                wire.request(server.address, bad_pid, timeout=5.0)
 
     def test_lease_result_merge_first_write_wins(self):
         coord = Coordinator(salt="s")
@@ -708,6 +737,26 @@ class TestExecutorValidation:
         with pytest.raises(ZooError, match="remote"):
             zoo.survey(executor="bogus")
 
+    def test_process_unpicklable_fn_raises_before_any_point(self):
+        import multiprocessing
+        import pickle
+
+        # Not a captured per-point failure: nothing could run.  (Python
+        # reports a local lambda as an AttributeError from pickle.)
+        with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+            sweep(lambda x: x, [1, 2, 3], executor="process", on_error="capture")
+        assert multiprocessing.active_children() == []
+
+    def test_process_workers_dying_at_start_fail_the_sweep(self, monkeypatch):
+        import multiprocessing
+
+        from repro.service import local
+
+        monkeypatch.setattr(local, "_serve", _exit_at_start)
+        with pytest.raises(RuntimeError, match="before registering"):
+            sweep(_square, [1, 2, 3, 4], executor="process", max_workers=2)
+        assert multiprocessing.active_children() == []
+
     def test_remote_needs_an_address(self, monkeypatch):
         monkeypatch.delenv("REPRO_COORDINATOR", raising=False)
         with pytest.raises(ValueError, match="REPRO_COORDINATOR"):
@@ -749,6 +798,28 @@ class TestInterrupts:
         # worker may or may not have reached 4 before the shutdown.
         assert 3 not in values
         assert [v for v in values if v < 3] == [0, 1, 2]
+
+    def test_process_interrupt_carries_partials_and_stops_workers(self):
+        import _thread
+        import multiprocessing
+
+        points = list(range(16))
+        timer = threading.Timer(0.8, _thread.interrupt_main)
+        timer.start()
+        try:
+            with pytest.raises(SweepInterrupted) as exc:
+                sweep(
+                    _slow_square, points,
+                    executor="process", max_workers=2, shard_size=1,
+                )
+        finally:
+            timer.cancel()
+        partial = exc.value.partial
+        done = [r.point for r in partial]
+        assert 0 < len(done) < len(points)
+        assert done == sorted(done)  # grid order
+        assert all(r.ok and r.value == r.point**2 for r in partial)
+        assert multiprocessing.active_children() == []
 
     def test_sweep_check_banks_partials_on_interrupt(self, tmp_path, monkeypatch):
         import importlib

@@ -28,7 +28,9 @@ import pytest
 from repro import dtmc_from_dict, zoo
 from repro.core import Guarantee
 from repro.engine import SmcConfig, sweep_check
-from repro.engine.sweep import _shard, sweep
+from repro.engine.sweep import sweep
+from repro.service import Coordinator
+from repro.service.coordinator import default_shard_size
 from repro.smc.hoeffding import ApmcResult
 from repro.smc.sprt import SprtResult
 from repro.store import (
@@ -609,15 +611,15 @@ class TestZooSweepStore:
 
 class TestShardedProcessSweep:
     def test_shard_helper_covers_and_orders(self):
-        points = list(range(10))
-        shards = _shard(points, workers=2, shard_size=3)
+        shards = Coordinator(salt="s")._shards(10, 3)
         assert [stop - start for start, stop in shards] == [3, 3, 3, 1]
         covered = [i for start, stop in shards for i in range(start, stop)]
-        assert covered == list(range(len(points)))
+        assert covered == list(range(10))
 
     def test_shard_default_targets_four_per_worker(self):
-        shards = _shard(list(range(100)), workers=4, shard_size=None)
         # ceil(100 / (4 workers * 4)) = 7 points per shard, 15 shards.
+        assert default_shard_size(100, 4) == 7
+        shards = Coordinator(salt="s")._shards(100, default_shard_size(100, 4))
         assert [stop - start for start, stop in shards[:-1]] == [7] * 14
         covered = [i for start, stop in shards for i in range(start, stop)]
         assert covered == list(range(100))
