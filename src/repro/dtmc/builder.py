@@ -3,10 +3,39 @@ into an explicit :class:`~repro.dtmc.chain.DTMC`.
 
 This is the bridge between RTL-style models (the Viterbi decoder and
 MIMO detector modules, or guarded-command programs from
-:mod:`repro.prog`) and the model-checking engine.  A model is any
-function mapping a hashable state to a finite distribution over
-successor states; the builder performs a breadth-first exploration from
-the initial states, interning states as it discovers them.
+:mod:`repro.prog`) and the model-checking engine.
+
+**One core.**  :func:`_explore` is the only breadth-first search.  It
+expands a whole BFS level at a time over int64 *state codes*.  Per
+level it merges duplicate successors within a row (first-occurrence
+order, sums taken in branch order), applies ``branch_cutoff``,
+renormalizes every row, interns the new codes in discovery order, and
+appends the level's transitions.
+
+**Two ways a model feeds it.**  :func:`build_dtmc` accepts either
+
+* a *transition function* mapping a hashable state to ``(probability,
+  successor)`` pairs.  A thin adapter calls it (and ``canonicalize``)
+  once per frontier state and numbers the successor objects through
+  one dict; or
+* a :class:`PackedModel` whose states already are int64 codes.  Its
+  ``step`` maps a code array ``codes[n]`` to ``(probs[n, k],
+  succ[n, k])``, probability 0 meaning "no branch"; its labels and
+  rewards are functions of a code array; its ``decode`` produces the
+  state objects.  The Viterbi models of :mod:`repro.viterbi` are built
+  this way.
+
+**Bit-identity contract.**  Either way the result is the one a
+per-state loop gives: states in BFS discovery order, the same CSR
+``indptr``/``indices``/``data`` bit for bit (a row's total is the
+builtin ``sum()`` of its merged branches, Neumaier-compensated from
+Python 3.12 on), the same ``bfs_levels`` and ``discarded_branches``,
+and the :class:`~repro.dtmc.chain.DTMCValidationError` or
+:class:`ExplorationLimitError` of the first offending row.  So a packed
+model builds exactly what the transition function it vectorizes
+builds; ``tests/test_viterbi_packed.py`` checks this for the Viterbi
+models, and ``tests/test_dtmc_builder.py`` checks the core against the
+per-state reference loop in ``tests/helpers.py``.
 
 Two scalability features mirror the paper's tooling:
 
@@ -23,8 +52,19 @@ Two scalability features mirror the paper's tooling:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 from scipy import sparse
@@ -34,6 +74,7 @@ from .chain import DTMC, DTMCValidationError
 __all__ = [
     "ExplorationLimitError",
     "ExplorationResult",
+    "PackedModel",
     "build_dtmc",
     "build_iid_dtmc",
 ]
@@ -41,10 +82,16 @@ __all__ = [
 State = Hashable
 Branch = Tuple[float, State]
 TransitionFn = Callable[[State], Sequence[Branch]]
+#: ``expand(codes) -> (rows, probs, succ)``: the branches of a BFS
+#: level, flat and row-major (``rows`` indexes ``codes``).
+Expand = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 #: Probability mass lost to merging/cutoff must stay within this bound
 #: of a renormalizable row.
 PROBABILITY_TOLERANCE = 1e-9
+
+#: The builtin ``sum()`` of floats is Neumaier-compensated from 3.12 on.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 class ExplorationLimitError(RuntimeError):
@@ -81,47 +128,263 @@ class ExplorationResult:
         return len(self.states)
 
 
-def _normalize_branches(
-    branches: Sequence[Branch],
-    canonicalize: Optional[Callable[[State], State]],
+@dataclass(frozen=True)
+class PackedModel:
+    """A model over int64 state codes, expanded a BFS level at a time.
+
+    Pass it to :func:`build_dtmc` in place of a transition function;
+    ``initial`` is then a code (or ``(probability, code)`` pairs) and
+    ``labels`` / ``rewards`` map names to functions of a code array.
+
+    Attributes
+    ----------
+    step:
+        ``codes[n] -> (probs[n, k], succ[n, k])``: each state's ``k``
+        branch slots in branch order, probability 0 meaning "no
+        branch".  Equal successor codes in a row are merged like equal
+        successor states.
+    decode:
+        ``codes[n] -> list`` of the state objects, for
+        :attr:`ExplorationResult.states`.
+    """
+
+    step: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    decode: Callable[[np.ndarray], List[State]]
+
+
+def _row_sums(
+    rows: np.ndarray,
+    values: np.ndarray,
+    num_rows: int,
+    compensated: bool = _COMPENSATED_SUM,
+) -> np.ndarray:
+    """Per-row builtin ``sum()`` of ``values`` in entry order, bit for bit.
+
+    ``rows`` is non-decreasing.  Before Python 3.12 that is a plain
+    left-to-right sum; from 3.12 on (``compensated``) it is Neumaier's
+    compensated sum, replayed one within-row position at a time.
+    """
+    total = np.zeros(num_rows)
+    if not compensated:
+        np.add.at(total, rows, values)
+        return total
+    compensation = np.zeros(num_rows)
+    position = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    for k in range(int(position.max(initial=-1)) + 1):
+        at = position == k
+        row, x = rows[at], values[at]
+        f = total[row]
+        t = f + x
+        compensation[row] += np.where(
+            np.abs(f) >= np.abs(x), (f - t) + x, (x - t) + f
+        )
+        total[row] = t
+    fix = (compensation != 0) & np.isfinite(compensation)
+    total[fix] += compensation[fix]
+    return total
+
+
+def _normalize(
+    rows: np.ndarray,
+    probs: np.ndarray,
+    succ: np.ndarray,
+    num_rows: int,
     branch_cutoff: float,
-) -> Tuple[List[Branch], int]:
-    """Canonicalize successors, merge duplicates, apply the cutoff,
-    and renormalize to a stochastic row."""
-    merged: Dict[State, float] = {}
-    for probability, successor in branches:
-        probability = float(probability)
-        if probability < 0:
-            raise DTMCValidationError(
-                f"negative branch probability {probability}"
-            )
-        if probability == 0.0:
-            continue
-        if canonicalize is not None:
-            successor = canonicalize(successor)
-        merged[successor] = merged.get(successor, 0.0) + probability
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, Optional[Tuple[int, str]]]:
+    """Merge, cut and renormalize the rows of one level.
+
+    Returns the kept ``(rows, succ, probs)``, row-major with each row's
+    successors in first-occurrence order; the number of branches cut;
+    and ``(row, message)`` for the first invalid row, or ``None``.
+    """
+    negative = probs < 0
+    negative_rows, negative_probs = rows[negative], probs[negative]
+    live = probs != 0
+    rows, probs, succ = rows[live], probs[live], succ[live]
+    count = len(rows)
+    # Group equal (row, successor) pairs.  The sort is stable, so each
+    # group's first sorted entry is its first occurrence.
+    order = np.lexsort((succ, rows))
+    sorted_rows, sorted_succ = rows[order], succ[order]
+    starts = np.ones(count, dtype=bool)
+    starts[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (
+        sorted_succ[1:] != sorted_succ[:-1]
+    )
+    is_first = np.zeros(count, dtype=bool)
+    is_first[order[starts]] = True
+    # Number the groups in first-occurrence (row-major) order and sum
+    # each group's probabilities in branch order.
+    rank = np.cumsum(is_first) - 1
+    group = np.empty(count, dtype=np.int64)
+    group[order] = rank[order[starts]][np.cumsum(starts) - 1]
+    merged = np.zeros(int(np.count_nonzero(starts)))
+    np.add.at(merged, group, probs)
+    first = np.flatnonzero(is_first)
+    rows, succ = rows[first], succ[first]
 
     discarded = 0
     if branch_cutoff > 0.0:
-        kept = {s: p for s, p in merged.items() if p >= branch_cutoff}
-        discarded = len(merged) - len(kept)
-        merged = kept
+        kept = merged >= branch_cutoff
+        discarded = len(merged) - int(np.count_nonzero(kept))
+        rows, succ, merged = rows[kept], succ[kept], merged[kept]
 
-    total = sum(merged.values())
-    if not merged or total <= 0.0:
-        raise DTMCValidationError(
+    total = _row_sums(rows, merged, num_rows)
+    empty = (np.bincount(rows, minlength=num_rows) == 0) | (total <= 0.0)
+    unbalanced = (branch_cutoff == 0.0) & (
+        np.abs(total - 1.0) > PROBABILITY_TOLERANCE
+    )
+    bad = np.flatnonzero(empty | unbalanced)
+    error = None
+    if len(negative_rows) and (not len(bad) or negative_rows[0] <= bad[0]):
+        error = (
+            int(negative_rows[0]),
+            f"negative branch probability {float(negative_probs[0])}",
+        )
+    elif len(bad) and empty[bad[0]]:
+        error = (
+            int(bad[0]),
             "state has no outgoing probability mass after cutoff; "
-            "lower branch_cutoff or fix the model"
+            "lower branch_cutoff or fix the model",
         )
-    if abs(total - 1.0) > PROBABILITY_TOLERANCE and branch_cutoff == 0.0:
-        raise DTMCValidationError(
-            f"branch probabilities sum to {total}, expected 1.0"
+    elif len(bad):
+        error = (
+            int(bad[0]),
+            f"branch probabilities sum to {float(total[bad[0]])}, expected 1.0",
         )
-    return [(p / total, s) for s, p in merged.items()], discarded
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return rows, succ, merged / total[rows], discarded, error
+
+
+def _explore(
+    expand: Expand,
+    initial_probs: np.ndarray,
+    initial_codes: np.ndarray,
+    branch_cutoff: float,
+    max_states: Optional[int],
+) -> Tuple[np.ndarray, sparse.csr_matrix, np.ndarray, int, int]:
+    """The breadth-first search, one whole level per iteration.
+
+    Returns the codes in state order, the transition matrix, the
+    initial distribution, the BFS depth and the number of branches cut.
+    """
+    known = np.empty(0, dtype=np.int64)  # sorted codes seen so far
+    known_ids = np.empty(0, dtype=np.int64)
+    levels: List[np.ndarray] = []  # codes in state order, one per level
+
+    def assign_ids(rows, succ, error):
+        """State ids of ``succ``; new codes numbered in discovery order."""
+        nonlocal known, known_ids
+        base = len(known)
+        ids = np.full(len(succ), -1, dtype=np.int64)
+        if base:
+            slot = np.minimum(np.searchsorted(known, succ), base - 1)
+            hit = known[slot] == succ
+            ids[hit] = known_ids[slot[hit]]
+        unknown = np.flatnonzero(ids < 0)
+        new, first, inverse = np.unique(
+            succ[unknown], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first, kind="stable")
+        rank = np.empty(len(new), dtype=np.int64)
+        rank[order] = np.arange(len(new))
+        # A validation error wins over the state limit unless the limit
+        # is hit in an earlier row (the row is checked before interning).
+        if max_states is not None and base + len(new) > max_states:
+            limit_row = rows[unknown[first[order[max_states - base]]]]
+            if error is None or limit_row < error[0]:
+                raise ExplorationLimitError(
+                    f"exploration exceeded max_states={max_states}"
+                )
+        if error is not None:
+            raise DTMCValidationError(error[1])
+        ids[unknown] = base + rank[inverse]
+        slot = np.searchsorted(known, new)
+        known = np.insert(known, slot, new)
+        known_ids = np.insert(known_ids, slot, base + rank)
+        levels.append(new[order])
+        return ids
+
+    rows, succ, probs, _, error = _normalize(
+        np.zeros(len(initial_codes), dtype=np.int64),
+        initial_probs,
+        initial_codes,
+        1,
+        0.0,
+    )
+    initial_ids = assign_ids(rows, succ, error)
+    initial_weights = probs
+
+    parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    discarded_total = 0
+    bfs_levels = 0
+    first_id = 0  # frontier states are the ids first_id .. first_id+len-1
+    frontier = levels[-1]
+    while len(frontier):
+        rows, probs, succ = expand(frontier)
+        rows, succ, probs, discarded, error = _normalize(
+            rows, probs, succ, len(frontier), branch_cutoff
+        )
+        discarded_total += discarded
+        parts.append((first_id + rows, assign_ids(rows, succ, error), probs))
+        first_id += len(frontier)
+        frontier = levels[-1]
+        bfs_levels += len(frontier) > 0
+
+    codes = np.concatenate(levels)
+    n = len(codes)
+    initial = np.zeros(n)
+    initial[initial_ids] = initial_weights
+    rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
+    matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    matrix.sum_duplicates()
+    return codes, matrix, initial, bfs_levels, discarded_total
+
+
+def _initial_branches(initial) -> Sequence[Branch]:
+    """A plain list of (probability, state) pairs is an initial
+    distribution; anything else (including tuple-like state objects such
+    as namedtuples) is a single initial state."""
+    if (
+        isinstance(initial, list)
+        and initial
+        and all(
+            isinstance(item, tuple)
+            and len(item) == 2
+            and isinstance(item[0], (int, float))
+            for item in initial
+        )
+    ):
+        return initial
+    return [(1.0, initial)]
+
+
+def _state_vectors(labels, rewards, evaluate):
+    """Label and reward vectors; ``evaluate(fn, dtype)`` runs one
+    function over every state."""
+    return (
+        {name: evaluate(fn, bool) for name, fn in (labels or {}).items()},
+        {name: evaluate(fn, float) for name, fn in (rewards or {}).items()},
+    )
+
+
+def _on_states(states: List[State]):
+    """Evaluate per-state functions, one state at a time."""
+
+    def evaluate(fn, dtype):
+        return np.fromiter(
+            (dtype(fn(s)) for s in states), dtype=dtype, count=len(states)
+        )
+
+    return evaluate
+
+
+def _on_codes(codes: np.ndarray):
+    """Evaluate functions of a code array on all codes at once."""
+    return lambda fn, dtype: np.asarray(fn(codes), dtype=dtype)
 
 
 def build_dtmc(
-    transition_fn: TransitionFn,
+    transition_fn: Union[TransitionFn, PackedModel],
     initial: State | Sequence[Branch],
     labels: Optional[Mapping[str, Callable[[State], bool]]] = None,
     rewards: Optional[Mapping[str, Callable[[State], float]]] = None,
@@ -139,6 +402,8 @@ def build_dtmc(
         next_state)`` pairs.  Probabilities of one state's branches
         must sum to 1 (up to merging of equal successors); with a
         positive ``branch_cutoff`` the row is renormalized instead.
+        A :class:`PackedModel` may be given instead; ``initial``,
+        ``labels`` and ``rewards`` then speak of state codes.
     initial:
         Either a single initial state or a distribution given as
         ``(probability, state)`` pairs.
@@ -152,7 +417,7 @@ def build_dtmc(
         canonicalize(s)`` and be compatible with the dynamics (the
         model's distribution must be invariant across an orbit); the
         soundness checkers in :mod:`repro.core.reductions` can verify
-        this on the built chain.
+        this on the built chain.  Not available for a packed model.
     branch_cutoff:
         Discard branches below this probability and renormalize
         (PRISM-style pruning).
@@ -163,98 +428,76 @@ def build_dtmc(
         Keep state objects on the chain (needed for pCTL expressions
         over state variables and for reduction diagnostics).
     """
-    # A plain list of (probability, state) pairs is an initial
-    # distribution; anything else (including tuple-like state objects
-    # such as namedtuples) is a single initial state.
-    if (
-        isinstance(initial, list)
-        and initial
-        and all(
-            isinstance(item, tuple)
-            and len(item) == 2
-            and isinstance(item[0], (int, float))
-            for item in initial
+    pairs = _initial_branches(initial)
+    if isinstance(transition_fn, PackedModel):
+        if canonicalize is not None:
+            raise ValueError("a PackedModel canonicalizes inside its step")
+        model = transition_fn
+
+        def expand(codes):
+            probs, succ = model.step(codes)
+            rows = np.repeat(np.arange(len(codes)), probs.shape[1])
+            return rows, probs.ravel(), succ.ravel().astype(np.int64)
+
+        codes, matrix, initial_vec, bfs_levels, discarded = _explore(
+            expand,
+            np.array([float(p) for p, _ in pairs], dtype=np.float64),
+            np.array([code for _, code in pairs], dtype=np.int64),
+            branch_cutoff,
+            max_states,
         )
-    ):
-        initial_branches: Sequence[Branch] = initial  # type: ignore[assignment]
+        states = model.decode(codes)
+        evaluate = _on_codes(codes)
     else:
-        initial_branches = [(1.0, initial)]
+        objects: List[State] = []
+        code_of: Dict[State, int] = {}
 
-    index: Dict[State, int] = {}
-    states: List[State] = []
+        def encode(state: State) -> int:
+            if canonicalize is not None:
+                state = canonicalize(state)
+            code = code_of.get(state)
+            if code is None:
+                code = code_of[state] = len(objects)
+                objects.append(state)
+            return code
 
-    def intern(state: State) -> int:
-        slot = index.get(state)
-        if slot is None:
-            slot = len(states)
-            index[state] = slot
-            states.append(state)
-            if max_states is not None and slot >= max_states:
-                raise ExplorationLimitError(
-                    f"exploration exceeded max_states={max_states}"
-                )
-        return slot
+        def encode_row(branches) -> Tuple[List[float], List[int]]:
+            """Probabilities and successor codes of one state's branches
+            (zero-probability successors are not canonicalized)."""
+            probs = [float(p) for p, _ in branches]
+            succ = [encode(s) if p != 0 else 0 for p, (_, s) in zip(probs, branches)]
+            return probs, succ
 
-    initial_norm, _ = _normalize_branches(
-        list(initial_branches), canonicalize, branch_cutoff=0.0
-    )
-    initial_pairs = [(p, intern(s)) for p, s in initial_norm]
-
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    discarded_total = 0
-
-    frontier: List[int] = [i for _, i in initial_pairs]
-    seen_frontier = set(frontier)
-    bfs_levels = 0
-    explored_upto = 0
-
-    while frontier:
-        next_frontier: List[int] = []
-        for state_id in frontier:
-            state = states[state_id]
-            branches, discarded = _normalize_branches(
-                list(transition_fn(state)), canonicalize, branch_cutoff
+        def expand(codes):
+            rows: List[int] = []
+            probs: List[float] = []
+            succ: List[int] = []
+            for row, code in enumerate(codes.tolist()):
+                row_probs, row_succ = encode_row(list(transition_fn(objects[code])))
+                rows += [row] * len(row_probs)
+                probs += row_probs
+                succ += row_succ
+            return (
+                np.array(rows, dtype=np.int64),
+                np.array(probs, dtype=np.float64),
+                np.array(succ, dtype=np.int64),
             )
-            discarded_total += discarded
-            for probability, successor in branches:
-                succ_known = successor in index
-                succ_id = intern(successor)
-                rows.append(state_id)
-                cols.append(succ_id)
-                vals.append(probability)
-                if not succ_known and succ_id not in seen_frontier:
-                    next_frontier.append(succ_id)
-                    seen_frontier.add(succ_id)
-        if not next_frontier:
-            break
-        bfs_levels += 1
-        frontier = next_frontier
-        seen_frontier = set(frontier)
 
-    n = len(states)
-    matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    matrix.sum_duplicates()
-
-    init_vec = np.zeros(n)
-    for probability, state_id in initial_pairs:
-        init_vec[state_id] += probability
-
-    label_vectors: Dict[str, np.ndarray] = {}
-    for name, predicate in (labels or {}).items():
-        label_vectors[name] = np.fromiter(
-            (bool(predicate(s)) for s in states), dtype=bool, count=n
+        initial_probs, initial_succ = encode_row(pairs)
+        codes, matrix, initial_vec, bfs_levels, discarded = _explore(
+            expand,
+            np.array(initial_probs, dtype=np.float64),
+            np.array(initial_succ, dtype=np.int64),
+            branch_cutoff,
+            max_states,
         )
-    reward_vectors: Dict[str, np.ndarray] = {}
-    for name, fn in (rewards or {}).items():
-        reward_vectors[name] = np.fromiter(
-            (float(fn(s)) for s in states), dtype=np.float64, count=n
-        )
+        states = [objects[code] for code in codes.tolist()]
+        evaluate = _on_states(states)
 
+    label_vectors, reward_vectors = _state_vectors(labels, rewards, evaluate)
     chain = DTMC(
         matrix,
-        init_vec,
+        initial_vec,
         labels=label_vectors,
         rewards=reward_vectors,
         states=states if keep_states else None,
@@ -262,9 +505,9 @@ def build_dtmc(
     return ExplorationResult(
         chain=chain,
         states=states,
-        index=index,
+        index={state: i for i, state in enumerate(states)},
         bfs_levels=bfs_levels,
-        discarded_branches=discarded_total,
+        discarded_branches=discarded,
     )
 
 
@@ -329,17 +572,9 @@ def build_iid_dtmc(
     init_vec = np.zeros(n)
     init_vec[index[initial]] = 1.0
 
-    label_vectors: Dict[str, np.ndarray] = {}
-    for name, predicate in (labels or {}).items():
-        label_vectors[name] = np.fromiter(
-            (bool(predicate(s)) for s in states), dtype=bool, count=n
-        )
-    reward_vectors: Dict[str, np.ndarray] = {}
-    for name, fn in (rewards or {}).items():
-        reward_vectors[name] = np.fromiter(
-            (float(fn(s)) for s in states), dtype=np.float64, count=n
-        )
-
+    label_vectors, reward_vectors = _state_vectors(
+        labels, rewards, _on_states(states)
+    )
     chain = DTMC(
         matrix,
         init_vec,

@@ -21,24 +21,63 @@ Eq. 2), and the remaining variables follow deterministically
 An extended model with a saturating error counter supports the paper's
 worst-case property P3 (``P=? [ F<=T errcnt>1 ]``), matching the larger
 state count reported for P3 in Table I.
+
+**Packed state codes.**  :func:`full_transition` is the executable
+specification of Eqs. 2-5 (and the differential oracle of the tests);
+the builders explore ``M`` a BFS level at a time instead, through a
+:class:`~repro.dtmc.builder.PackedModel` whose states are int64 codes.
+A code is a mixed-radix number, least significant digit first:
+
+=========  ==================  ==========================================
+digit      radix               content
+=========  ==================  ==========================================
+``pm``     reachable pm count  index of the path-metric vector in
+                               :attr:`KernelTables.pm` (0 = cold start)
+``x``      ``2^L``             data bits, ``x[i]`` at bit ``i``
+``prev``   ``2^(L*2^m)``       survivor register: stage ``i`` (newest
+                               first) in bits ``i*2^m ..``, one bit per
+                               trellis state ``t`` -- the two
+                               predecessors of ``t`` differ only in the
+                               top bit, so the bit is the survivor's top
+                               bit
+``fresh``  ``L+1`` (m >= 2)    how many of the oldest stages still hold
+                               the all-zero cold-start pointers, which
+                               are not valid predecessors once ``m >=
+                               2``; radix 1 (no digit) for ``m = 1``
+``flag``   2                   ``flag`` (a function of the rest, stored
+                               so labels are a digit read)
+``errcnt`` ``cap+1`` or 1      the P3 error counter, error-count model
+                               only
+=========  ==================  ==========================================
+
+One step shifts ``x`` and ``prev`` left by one stage, reads the new pm
+and survivor stage from the kernel's ACS tables, and traces back over
+the register to set ``flag``.  A configuration whose radices multiply
+past ``2^63`` builds through :func:`full_transition` instead, with the
+same result.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..comm.channel import PartialResponseTransmitter
 from ..comm.quantizer import UniformQuantizer
 from ..comm.snr import noise_sigma
-from ..dtmc.builder import ExplorationResult, build_dtmc
+from ..dtmc.builder import ExplorationResult, PackedModel, build_dtmc
 from .trellis import Trellis
 
 __all__ = [
     "ViterbiModelConfig",
     "ViterbiFullState",
     "ViterbiKernel",
+    "KernelTables",
     "traceback_flag",
     "full_transition",
     "build_full_model",
@@ -139,10 +178,8 @@ class ViterbiKernel:
         # q-level distribution for each (new bit, past bits...) tuple
         # (newest past bit first — the paper's m=1 case keys on
         # (x[n], x[n-1])).
-        import itertools as _itertools
-
         self._q_dist: Dict[Tuple[int, ...], List[Tuple[float, int]]] = {}
-        for bits in _itertools.product((0, 1), repeat=memory + 1):
+        for bits in itertools.product((0, 1), repeat=memory + 1):
             mean = self.transmitter.output(list(bits))
             probabilities = self.quantizer.cell_probabilities(mean, sigma)
             self._q_dist[bits] = [
@@ -183,6 +220,126 @@ class ViterbiKernel:
 
     def initial_pm(self) -> Tuple[int, ...]:
         return self.trellis.initial_metrics()
+
+    @functools.cached_property
+    def tables(self) -> "KernelTables":
+        """The kernel as arrays, for the packed models."""
+        return KernelTables(self)
+
+
+class KernelTables:
+    """``Gamma_p`` as lookup tables over every reachable path-metric
+    vector.
+
+    Attributes
+    ----------
+    pm:
+        Reachable normalized path-metric vectors; index 0 is the cold
+        start.
+    acs_pm / acs_stage:
+        ``[pm id, q]`` -> new pm id, and the survivor stage as bits
+        (bit ``t`` set iff state ``t``'s survivor is its upper
+        predecessor ``(t >> 1) | 2^(m-1)``).
+    best:
+        ``[pm id]`` -> state with the least metric (ties -> lowest).
+    probs:
+        ``[past, slot]`` -> branch probability, ``past`` holding the
+        last ``m`` data bits (``x[i]`` at bit ``i``) and the slots
+        ordered like :meth:`ViterbiKernel.branches`: new bit 0 then 1,
+        each over ``q`` ascending; 0 where the cell has no mass.
+    q / bit:
+        ``[slot]`` -> received level and new data bit.
+    """
+
+    def __init__(self, kernel: ViterbiKernel) -> None:
+        trellis = kernel.trellis
+        memory, size = trellis.memory, trellis.num_states
+        levels = kernel.quantizer.num_levels
+        targets = np.arange(size)
+        lower = targets >> 1
+        upper = lower | (1 << (memory - 1))
+        bit = targets & 1
+        # branch metrics of both predecessors of every target, per q
+        branch = trellis._branch_table
+        lower_branch = branch[:, lower, bit]
+        upper_branch = branch[:, upper, bit]
+        weights = (trellis.pm_max + 1) ** targets
+
+        pms = [np.array(kernel.initial_pm(), dtype=np.int64)]
+        ids = {int(pms[0] @ weights): 0}
+        acs_pm: List[List[int]] = []
+        acs_stage: List[np.ndarray] = []
+        while len(acs_pm) < len(pms):
+            block = np.array(pms[len(acs_pm):])[:, None, :]  # [n, 1, S]
+            lower_metric = block[:, :, lower] + lower_branch[None]
+            upper_metric = block[:, :, upper] + upper_branch[None]
+            take_upper = upper_metric < lower_metric  # ties -> lower pred
+            metric = np.where(take_upper, upper_metric, lower_metric)
+            metric = np.minimum(
+                metric - metric.min(axis=2, keepdims=True), trellis.pm_max
+            )
+            acs_stage.extend(take_upper.astype(np.int64) @ (1 << targets))
+            for row, keys in zip(metric, (metric @ weights).tolist()):
+                next_ids = []
+                for vector, key in zip(row, keys):
+                    if key not in ids:
+                        ids[key] = len(pms)
+                        pms.append(vector)
+                    next_ids.append(ids[key])
+                acs_pm.append(next_ids)
+
+        # slot x_new * levels + q: new bit 0 then 1, each over q ascending
+        probs = np.zeros((size, 2 * levels))
+        for past in range(size):
+            past_bits = tuple((past >> i) & 1 for i in range(memory))
+            for x_new in (0, 1):
+                for p_q, q in kernel._q_dist[(x_new,) + past_bits]:
+                    probs[past, x_new * levels + q] = 0.5 * p_q
+        table = np.array(pms)
+        self.pm: List[Tuple[int, ...]] = [tuple(v) for v in table.tolist()]
+        self.acs_pm = np.array(acs_pm, dtype=np.int64)
+        self.acs_stage = np.array(acs_stage, dtype=np.int64)
+        self.best = np.argmin(table, axis=1)
+        self.probs = probs
+        self.q = np.tile(np.arange(levels), 2)
+        self.bit = np.repeat(np.arange(2), levels)
+
+
+class Layout:
+    """Mixed-radix packing of named digits into one int64 code."""
+
+    def __init__(self, radices: Sequence[Tuple[str, int]]) -> None:
+        self.radix: Dict[str, int] = {}
+        self.weight: Dict[str, int] = {}
+        span = 1
+        for name, radix in radices:
+            self.radix[name], self.weight[name] = radix, span
+            span *= radix
+        #: Whether every code and digit weight fits an int64.
+        self.fits = span < 1 << 63
+
+    def get(self, codes: np.ndarray, name: str) -> np.ndarray:
+        return (codes // self.weight[name]) % self.radix[name]
+
+    def pack(self, **digits: Any) -> np.ndarray:
+        return sum(
+            np.asarray(value, dtype=np.int64) * self.weight[name]
+            for name, value in digits.items()
+        )
+
+
+def records(cls: type, columns: Sequence[List[Any]]) -> List[Any]:
+    """``[cls(*row) for row in zip(*columns)]`` for a namedtuple ``cls``,
+    without its Python-level ``__new__`` per row."""
+    return list(map(functools.partial(tuple.__new__, cls), zip(*columns)))
+
+
+def objects_of(values: np.ndarray, make: Callable[[int], Any]) -> List[Any]:
+    """``[make(v) for v in values]``, calling ``make`` once per distinct
+    value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    made = [make(value) for value in distinct.tolist()]
+    return [made[i] for i in inverse.tolist()]
 
 
 def traceback_flag(
@@ -225,6 +382,99 @@ def _initial_full_state(kernel: ViterbiKernel) -> ViterbiFullState:
     return ViterbiFullState(pm, prev, x, traceback_flag(pm, prev, x))
 
 
+def packed_full_model(
+    kernel: ViterbiKernel, error_count: bool, **builder_kwargs
+) -> Optional[ExplorationResult]:
+    """Build ``M`` (or its P3 extension) from packed codes (module
+    docstring); ``None`` when the codes do not fit an int64 or a
+    ``canonicalize`` hook asks for state objects."""
+    config, tables = kernel.config, kernel.tables
+    memory, size = config.memory, kernel.trellis.num_states
+    length, cap = config.traceback_length, config.error_count_cap
+    layout = Layout(
+        [
+            ("pm", len(tables.pm)),
+            ("x", 1 << length),
+            ("prev", 1 << (length * size)),
+            ("fresh", length + 1 if memory > 1 else 1),
+            ("flag", 2),
+            ("errcnt", cap + 1 if error_count else 1),
+        ]
+    )
+    if not layout.fits or builder_kwargs.get("canonicalize") is not None:
+        return None
+    x_mask, prev_mask = (1 << length) - 1, (1 << (length * size)) - 1
+
+    def flags(pm, prev, x, fresh):
+        """Eq. 5 over the survivor register (cf. :func:`traceback_flag`)."""
+        state = tables.best[pm]
+        for stage in range(length - 1):
+            upper = (prev >> (stage * size + state)) & 1
+            state = (state >> 1) | (upper << (memory - 1))
+            if memory > 1:  # a cold-start stage points every state at 0
+                state = np.where(stage >= length - fresh, 0, state)
+        return ((state & 1) != ((x >> (length - 1)) & 1)).astype(np.int64)
+
+    def step(codes):
+        pm = layout.get(codes, "pm")[:, None]
+        x = layout.get(codes, "x")[:, None]
+        prev = layout.get(codes, "prev")[:, None]
+        fresh = np.maximum(layout.get(codes, "fresh") - 1, 0)[:, None]
+        new_pm = tables.acs_pm[pm, tables.q]
+        new_x = ((x << 1) | tables.bit) & x_mask
+        new_prev = ((prev << size) | tables.acs_stage[pm, tables.q]) & prev_mask
+        flag = flags(new_pm, new_prev, new_x, fresh)
+        digits = dict(pm=new_pm, x=new_x, prev=new_prev, fresh=fresh, flag=flag)
+        if error_count:
+            errcnt = layout.get(codes, "errcnt")[:, None]
+            digits["errcnt"] = np.minimum(errcnt + flag, cap)
+        return tables.probs[x[:, 0] & (size - 1)], layout.pack(**digits)
+
+    zero_stage = (0,) * size
+
+    def stages(key: int) -> Tuple[Tuple[int, ...], ...]:
+        fresh, register = divmod(key, layout.radix["prev"])
+        return tuple(
+            zero_stage
+            if stage >= length - fresh
+            else tuple(
+                (t >> 1) | (((register >> (stage * size + t)) & 1) << (memory - 1))
+                for t in range(size)
+            )
+            for stage in range(length)
+        )
+
+    def decode(codes):
+        pm = [tables.pm[i] for i in layout.get(codes, "pm").tolist()]
+        x = objects_of(
+            layout.get(codes, "x"),
+            lambda v: tuple((v >> i) & 1 for i in range(length)),
+        )
+        # prev and fresh are adjacent digits: read them as one
+        span = layout.radix["prev"] * layout.radix["fresh"]
+        prev = objects_of((codes // layout.weight["prev"]) % span, stages)
+        columns = [pm, prev, x, layout.get(codes, "flag").tolist()]
+        if not error_count:
+            return records(ViterbiFullState, columns)
+        columns.append(layout.get(codes, "errcnt").tolist())
+        return records(ViterbiErrcntState, columns)
+
+    start = _initial_full_state(kernel)
+    initial = layout.pack(
+        pm=0, x=0, prev=0, fresh=length if memory > 1 else 0, flag=start.flag
+    )
+    labels = {"flag": lambda codes: layout.get(codes, "flag") == 1}
+    if error_count:
+        labels["overflow"] = lambda codes: layout.get(codes, "errcnt") > 1
+    return build_dtmc(
+        PackedModel(step, decode),
+        initial=int(initial),
+        labels=labels,
+        rewards={"flag": lambda codes: layout.get(codes, "flag")},
+        **builder_kwargs,
+    )
+
+
 def build_full_model(
     config: Optional[ViterbiModelConfig] = None, **builder_kwargs
 ) -> ExplorationResult:
@@ -236,6 +486,9 @@ def build_full_model(
     """
     config = config or ViterbiModelConfig()
     kernel = ViterbiKernel(config)
+    packed = packed_full_model(kernel, error_count=False, **builder_kwargs)
+    if packed is not None:
+        return packed
     return build_dtmc(
         full_transition(kernel),
         initial=_initial_full_state(kernel),
@@ -245,20 +498,11 @@ def build_full_model(
     )
 
 
-def build_error_count_model(
-    config: Optional[ViterbiModelConfig] = None, **builder_kwargs
-) -> ExplorationResult:
-    """Full model extended with a saturating error counter for P3.
-
-    ``errcnt`` accumulates decoded-bit errors up to
-    ``config.error_count_cap``; the paper's worst-case property is
-    ``P=? [ F<=T errcnt>1 ]``.  This is the larger "P3" model of
-    Table I.
-    """
-    config = config or ViterbiModelConfig()
-    kernel = ViterbiKernel(config)
+def error_count_transition(kernel: ViterbiKernel) -> Callable:
+    """Transition function of the P3 model: ``M`` plus the saturating
+    error counter."""
     base = full_transition(kernel)
-    cap = config.error_count_cap
+    cap = kernel.config.error_count_cap
 
     def transition(state: ViterbiErrcntState):
         inner = ViterbiFullState(state.pm, state.prev, state.x, state.flag)
@@ -276,10 +520,28 @@ def build_error_count_model(
             for probability, nxt in base(inner)
         ]
 
+    return transition
+
+
+def build_error_count_model(
+    config: Optional[ViterbiModelConfig] = None, **builder_kwargs
+) -> ExplorationResult:
+    """Full model extended with a saturating error counter for P3.
+
+    ``errcnt`` accumulates decoded-bit errors up to
+    ``config.error_count_cap``; the paper's worst-case property is
+    ``P=? [ F<=T errcnt>1 ]``.  This is the larger "P3" model of
+    Table I.
+    """
+    config = config or ViterbiModelConfig()
+    kernel = ViterbiKernel(config)
+    packed = packed_full_model(kernel, error_count=True, **builder_kwargs)
+    if packed is not None:
+        return packed
     start = _initial_full_state(kernel)
     initial = ViterbiErrcntState(start.pm, start.prev, start.x, start.flag, 0)
     return build_dtmc(
-        transition,
+        error_count_transition(kernel),
         initial=initial,
         labels={
             "flag": lambda s: bool(s.flag),

@@ -18,6 +18,12 @@ and ``flag = !correct_{L-1}``.  The probabilistic kernel (path metrics
 is a probabilistic bisimulation (the paper's Part B / Strong Lumping
 argument); :func:`abstraction_function` is the paper's ``F_abs`` and is
 used by the test suite to verify soundness mechanically.
+
+As for ``M``, :func:`reduced_transition` is the executable
+specification and the builders explore packed int64 codes: the
+mixed-radix digits are ``pm`` (the kernel's pm-vector id), ``x0``,
+``c`` and ``w`` (``L-1`` bits each, stage ``i`` at bit ``i``),
+``flag`` and, in the error-count model, ``errcnt``.
 """
 
 from __future__ import annotations
@@ -25,11 +31,16 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Callable, Optional, Tuple
 
-from ..dtmc.builder import ExplorationResult, build_dtmc
+import numpy as np
+
+from ..dtmc.builder import ExplorationResult, PackedModel, build_dtmc
 from .dtmc_model import (
+    Layout,
     ViterbiFullState,
     ViterbiKernel,
     ViterbiModelConfig,
+    objects_of,
+    records,
 )
 
 __all__ = [
@@ -75,6 +86,14 @@ def _cw_bits(
     return c, w
 
 
+def _require_memory_one(kernel: ViterbiKernel) -> None:
+    if kernel.config.memory != 1:
+        raise ValueError(
+            "the c/w reduction is defined for the paper's memory-1"
+            f" channel; got memory {kernel.config.memory}"
+        )
+
+
 def reduced_transition(kernel: ViterbiKernel) -> Callable:
     """Transition function of ``M_R`` (Eqs. 7-9).
 
@@ -85,11 +104,7 @@ def reduced_transition(kernel: ViterbiKernel) -> Callable:
     memory-m channels (2^m trellis states) are supported by the full
     model only.
     """
-    if kernel.config.memory != 1:
-        raise ValueError(
-            "the c/w reduction is defined for the paper's memory-1"
-            f" channel; got memory {kernel.config.memory}"
-        )
+    _require_memory_one(kernel)
 
     def transition(state: ViterbiReducedState):
         branches = []
@@ -123,6 +138,81 @@ def _initial_reduced_state(kernel: ViterbiKernel) -> ViterbiReducedState:
     return ViterbiReducedState(pm, x0, c, w, reduced_flag(pm, x0, c, w))
 
 
+def packed_reduced_model(
+    kernel: ViterbiKernel, error_count: bool, **builder_kwargs
+) -> Optional[ExplorationResult]:
+    """Build ``M_R`` (or its P3 extension) from packed codes; ``None``
+    when the codes do not fit an int64 or a ``canonicalize`` hook asks
+    for state objects."""
+    _require_memory_one(kernel)
+    config, tables = kernel.config, kernel.tables
+    stages, cap = config.traceback_length - 1, config.error_count_cap
+    layout = Layout(
+        [
+            ("pm", len(tables.pm)),
+            ("x0", 2),
+            ("c", 1 << stages),
+            ("w", 1 << stages),
+            ("flag", 2),
+            ("errcnt", cap + 1 if error_count else 1),
+        ]
+    )
+    if not layout.fits or builder_kwargs.get("canonicalize") is not None:
+        return None
+    mask = (1 << stages) - 1
+
+    def step(codes):
+        pm = layout.get(codes, "pm")[:, None]
+        x0 = layout.get(codes, "x0")[:, None]
+        new_pm = tables.acs_pm[pm, tables.q]
+        survivors = tables.acs_stage[pm, tables.q]  # memory 1: bit t = prev[t]
+        x_new = tables.bit
+        # Eq. 7: do the survivors of the correct / wrong state point at x0?
+        c0 = ((survivors >> x_new) & 1) == x0
+        w0 = ((survivors >> (1 - x_new)) & 1) == x0
+        c = ((layout.get(codes, "c")[:, None] << 1) | c0) & mask
+        w = ((layout.get(codes, "w")[:, None] << 1) | w0) & mask
+        # Eq. 9: fold the correctness recurrence over the stages
+        correct = tables.best[new_pm] == x_new
+        for stage in range(stages):
+            correct = np.where(correct, (c >> stage) & 1, (w >> stage) & 1) == 1
+        flag = (~correct).astype(np.int64)
+        digits = dict(pm=new_pm, x0=x_new, c=c, w=w, flag=flag)
+        if error_count:
+            errcnt = layout.get(codes, "errcnt")[:, None]
+            digits["errcnt"] = np.minimum(errcnt + flag, cap)
+        return tables.probs[x0[:, 0]], layout.pack(**digits)
+
+    def bits(value: int) -> Tuple[int, ...]:
+        return tuple((value >> i) & 1 for i in range(stages))
+
+    def decode(codes):
+        columns = [
+            [tables.pm[i] for i in layout.get(codes, "pm").tolist()],
+            layout.get(codes, "x0").tolist(),
+            objects_of(layout.get(codes, "c"), bits),
+            objects_of(layout.get(codes, "w"), bits),
+            layout.get(codes, "flag").tolist(),
+        ]
+        if not error_count:
+            return records(ViterbiReducedState, columns)
+        columns.append(layout.get(codes, "errcnt").tolist())
+        return records(ViterbiReducedErrcntState, columns)
+
+    start = _initial_reduced_state(kernel)
+    initial = layout.pack(pm=0, x0=0, c=mask, w=mask, flag=start.flag)
+    labels = {"flag": lambda codes: layout.get(codes, "flag") == 1}
+    if error_count:
+        labels["overflow"] = lambda codes: layout.get(codes, "errcnt") > 1
+    return build_dtmc(
+        PackedModel(step, decode),
+        initial=int(initial),
+        labels=labels,
+        rewards={"flag": lambda codes: layout.get(codes, "flag")},
+        **builder_kwargs,
+    )
+
+
 def build_reduced_model(
     config: Optional[ViterbiModelConfig] = None, **builder_kwargs
 ) -> ExplorationResult:
@@ -135,6 +225,9 @@ def build_reduced_model(
     """
     config = config or ViterbiModelConfig()
     kernel = ViterbiKernel(config)
+    packed = packed_reduced_model(kernel, error_count=False, **builder_kwargs)
+    if packed is not None:
+        return packed
     return build_dtmc(
         reduced_transition(kernel),
         initial=_initial_reduced_state(kernel),
@@ -144,20 +237,11 @@ def build_reduced_model(
     )
 
 
-def build_reduced_error_count_model(
-    config: Optional[ViterbiModelConfig] = None, **builder_kwargs
-) -> ExplorationResult:
-    """Reduced model extended with the saturating P3 error counter.
-
-    The counter accumulates the (reduction-preserved) ``flag``, so this
-    is the quotient of the paper's larger P3 model: the worst-case
-    property ``P=? [ F<=T errcnt>1 ]`` checks identically here and on
-    :func:`repro.viterbi.dtmc_model.build_error_count_model`.
-    """
-    config = config or ViterbiModelConfig()
-    kernel = ViterbiKernel(config)
+def reduced_error_count_transition(kernel: ViterbiKernel) -> Callable:
+    """Transition function of ``M_R`` plus the saturating P3 error
+    counter."""
     base = reduced_transition(kernel)
-    cap = config.error_count_cap
+    cap = kernel.config.error_count_cap
 
     def transition(state: ViterbiReducedErrcntState):
         inner = ViterbiReducedState(state.pm, state.x0, state.c, state.w, state.flag)
@@ -176,12 +260,30 @@ def build_reduced_error_count_model(
             for probability, nxt in base(inner)
         ]
 
+    return transition
+
+
+def build_reduced_error_count_model(
+    config: Optional[ViterbiModelConfig] = None, **builder_kwargs
+) -> ExplorationResult:
+    """Reduced model extended with the saturating P3 error counter.
+
+    The counter accumulates the (reduction-preserved) ``flag``, so this
+    is the quotient of the paper's larger P3 model: the worst-case
+    property ``P=? [ F<=T errcnt>1 ]`` checks identically here and on
+    :func:`repro.viterbi.dtmc_model.build_error_count_model`.
+    """
+    config = config or ViterbiModelConfig()
+    kernel = ViterbiKernel(config)
+    packed = packed_reduced_model(kernel, error_count=True, **builder_kwargs)
+    if packed is not None:
+        return packed
     start = _initial_reduced_state(kernel)
     initial = ViterbiReducedErrcntState(
         start.pm, start.x0, start.c, start.w, start.flag, 0
     )
     return build_dtmc(
-        transition,
+        reduced_error_count_transition(kernel),
         initial=initial,
         labels={
             "flag": lambda s: bool(s.flag),

@@ -1,11 +1,13 @@
-"""Shared test utilities: small reference chains and random-chain strategies."""
+"""Shared test utilities: small reference chains, random-chain strategies,
+and the per-state exploration loop that oracles the state-space builder."""
 
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy import sparse
 
-from repro.dtmc import DTMC, dtmc_from_dict
+from repro.dtmc import DTMC, DTMCValidationError, ExplorationLimitError, dtmc_from_dict
 
 
 def knuth_yao_die() -> DTMC:
@@ -84,3 +86,61 @@ def random_dtmcs(draw, max_states: int = 6) -> DTMC:
     labels = {"mark": np.array([i % 2 == 0 for i in range(n)])}
     rewards = {"unit": np.ones(n), "mark": labels["mark"].astype(float)}
     return DTMC(matrix, 0, labels=labels, rewards=rewards)
+
+
+def reference_explore(transition_fn, initial, canonicalize=None,
+                      branch_cutoff=0.0, max_states=None):
+    """The builder's semantics as a plain per-state BFS, one Python branch
+    at a time: returns ``(matrix, initial vector, states, bfs_levels,
+    discarded)`` for :func:`repro.dtmc.build_dtmc` to match bit for bit."""
+    def normalize(branches, cutoff):
+        merged = {}
+        for p, s in branches:
+            p = float(p)
+            if p < 0:
+                raise DTMCValidationError(f"negative branch probability {p}")
+            if p != 0.0:
+                s = canonicalize(s) if canonicalize is not None else s
+                merged[s] = merged.get(s, 0.0) + p
+        kept = {s: p for s, p in merged.items() if p >= cutoff} if cutoff > 0 else merged
+        total = sum(kept.values())
+        if not kept or total <= 0.0:
+            raise DTMCValidationError(
+                "state has no outgoing probability mass after cutoff; "
+                "lower branch_cutoff or fix the model")
+        if cutoff == 0.0 and abs(total - 1.0) > 1e-9:
+            raise DTMCValidationError(f"branch probabilities sum to {total}, expected 1.0")
+        return [(p / total, s) for s, p in kept.items()], len(merged) - len(kept)
+
+    index, states, triplets = {}, [], []
+
+    def intern(state):
+        if state not in index:
+            if max_states is not None and len(states) >= max_states:
+                raise ExplorationLimitError(f"exploration exceeded max_states={max_states}")
+            index[state] = len(states)
+            states.append(state)
+        return index[state]
+
+    is_distribution = isinstance(initial, list) and initial and all(
+        isinstance(b, tuple) and len(b) == 2 and isinstance(b[0], (int, float))
+        for b in initial)
+    start, _ = normalize(initial if is_distribution else [(1.0, initial)], 0.0)
+    start = [(p, intern(s)) for p, s in start]
+    frontier, levels, discarded = [i for _, i in start], 0, 0
+    while frontier:
+        found = len(states)
+        for row in frontier:
+            branches, cut = normalize(list(transition_fn(states[row])), branch_cutoff)
+            discarded += cut
+            triplets += [(row, intern(s), p) for p, s in branches]
+        frontier = list(range(found, len(states)))
+        levels += bool(frontier)
+    n = len(states)
+    rows, cols, vals = zip(*triplets)
+    matrix = sparse.csr_matrix((list(vals), (list(rows), list(cols))), shape=(n, n))
+    matrix.sum_duplicates()
+    init = np.zeros(n)
+    for p, i in start:
+        init[i] += p
+    return matrix, init, states, levels, discarded

@@ -1,7 +1,14 @@
 """Unit tests for the state-space builder (repro.dtmc.builder)."""
 
+import functools
+import math
+import sys
+
 import numpy as np
 import pytest
+from helpers import reference_explore
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dtmc import (
     DTMCValidationError,
@@ -10,6 +17,7 @@ from repro.dtmc import (
     distribution_at,
     reachability_iterations,
 )
+from repro.dtmc import builder
 
 
 def random_walk(state):
@@ -164,3 +172,120 @@ class TestBranchCutoff:
 
         with pytest.raises(DTMCValidationError, match="cutoff"):
             build_dtmc(fn, initial="x", branch_cutoff=1e-15)
+
+
+@st.composite
+def random_models(draw):
+    """A small random transition table with duplicate successors,
+    zero-probability and tiny branches, and now and then a negative or
+    non-stochastic row, plus the builder options to explore it with."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    weights = st.sampled_from([0.0, 1e-20, 0.1, 0.25, 0.5, 1.0, 3.0])
+    table = {}
+    for state in range(n):
+        k = draw(st.integers(min_value=1, max_value=6))
+        raw = draw(st.lists(weights, min_size=k, max_size=k))
+        succ = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+        total = sum(raw)
+        probs = [w / total for w in raw] if total else raw
+        flaw = draw(st.sampled_from(["none"] * 8 + ["negative", "half"]))
+        if flaw == "negative":
+            probs[-1] = -probs[-1] or -0.5
+        elif flaw == "half":
+            probs = [p / 2 for p in probs]
+        table[state] = list(zip(probs, succ))
+    if draw(st.booleans()):
+        initial = draw(st.integers(0, n - 1))
+    else:
+        initial = [(0.5, draw(st.integers(0, n - 1))), (0.5, draw(st.integers(0, n - 1)))]
+    options = {
+        "canonicalize": draw(st.sampled_from([None, lambda s: s - s % 2])),
+        "branch_cutoff": draw(st.sampled_from([0.0, 1e-15, 0.2])),
+        "max_states": draw(st.sampled_from([None, 1, 3, 5])),
+    }
+    return table, initial, options
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (DTMCValidationError, ExplorationLimitError) as error:
+        return type(error), str(error)
+
+
+class TestCoreMatchesReferenceLoop:
+    """The level-at-a-time core against the per-state loop, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_models())
+    def test_bit_identical_to_reference(self, model):
+        table, initial, options = model
+        labels = {"odd": lambda s: s % 2 == 1}
+        rewards = {"value": lambda s: float(s)}
+        got = _outcome(lambda: build_dtmc(
+            table.__getitem__, initial, labels=labels, rewards=rewards, **options))
+        want = _outcome(lambda: reference_explore(table.__getitem__, initial, **options))
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+            return
+        matrix, init, states, levels, discarded = want
+        chain = got.chain
+        for part in ("indptr", "indices", "data"):
+            ours, theirs = getattr(chain.transition_matrix, part), getattr(matrix, part)
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+        assert np.array_equal(chain.initial_distribution, init)
+        assert got.states == states
+        assert got.index == {s: i for i, s in enumerate(states)}
+        assert (got.bfs_levels, got.discarded_branches) == (levels, discarded)
+        assert np.array_equal(chain.label_vector("odd"), [s % 2 == 1 for s in states])
+        assert np.array_equal(chain.reward_vector("value"), np.array(states, dtype=float))
+
+    def test_errors_raise_in_row_order(self):
+        """A bad row and the state limit: whichever row comes first wins."""
+        def limit_first(state):
+            return [(1.0, 2)] if state == 0 else [(0.5, 3)]
+
+        def bad_first(state):
+            return [(0.5, 3)] if state == 0 else [(1.0, 2)]
+
+        start = [(0.5, 0), (0.5, 1)]
+        with pytest.raises(ExplorationLimitError):
+            build_dtmc(limit_first, initial=start, max_states=2)
+        with pytest.raises(DTMCValidationError, match="sum"):
+            build_dtmc(limit_first, initial=start, max_states=3)
+        with pytest.raises(DTMCValidationError, match="sum"):
+            build_dtmc(bad_first, initial=start, max_states=2)
+
+
+def _neumaier_sum(values):
+    """CPython's float ``sum()`` from 3.12 on (Neumaier compensation)."""
+    total, compensation = 0.0, 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+class TestRowSums:
+    """Row totals replay the builtin ``sum()`` of the running Python."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=6),
+                    min_size=1, max_size=5))
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_matches_sequential_and_compensated_sum(self, compensated, table):
+        rows = np.repeat(np.arange(len(table)), [len(row) for row in table])
+        values = np.concatenate([np.array(row, dtype=float) for row in table])
+        totals = builder._row_sums(rows, values, len(table), compensated)
+        reference = _neumaier_sum if compensated else lambda row: functools.reduce(
+            lambda a, b: a + b, row, 0.0)
+        assert totals.tolist() == [reference(row) for row in table]
+        if compensated == (sys.version_info >= (3, 12)):
+            assert totals.tolist() == [sum(row) for row in table]
